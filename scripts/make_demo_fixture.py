@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from culturestream.corpus import parse_timestamp
-from culturestream.synth import BurstInjection, SynthConfig, generate, write_corpus_jsonl, write_roster_csv
+from culturestream.corpus import parse_timestamp, write_transactions_jsonl
+from culturestream.synth import BurstInjection, SynthConfig, generate, write_roster_csv
 
 EPOCH = "2013-07-20T00:00:00Z"
 SEED = 42
@@ -64,7 +64,7 @@ def main() -> int:
 
     config = make_stream_config()
     transactions, roster = generate(config)
-    write_corpus_jsonl(transactions, out / "demo_corpus.jsonl")
+    write_transactions_jsonl(transactions, out / "demo_corpus.jsonl")
     write_roster_csv(roster, out / "demo_roster.csv")
 
     with open(out / "demo_follow.csv", "w", encoding="utf-8") as fh:

@@ -8,11 +8,10 @@ measures surface as null points.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .corpus import Fact, Transaction
+from .corpus import Fact, Transaction, write_csv
 
 VectorKey = tuple[str, int, str]  # (group, window, practice)
 
@@ -96,19 +95,14 @@ def rank_vector(vector: CultureVector) -> RankedVector:
     return sorted(vector.counts.items(), key=lambda kv: (-kv[1], kv[0].key))
 
 
-def reference_pairs(transactions: Iterable[Transaction], spec: WindowSpec) -> int:
-    """Count (transaction, fact) pairs inside the observation span."""
-    return sum(
-        len(t.facts) for t in transactions if spec.index_of(t.timestamp) is not None
-    )
-
-
-def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> None:
+def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> int:
     """Export vectors as ``group,window,practice,fact_kind,fact,count``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "window", "practice", "fact_kind", "fact", "count"])
-        for (group, window, practice) in sorted(vectors):
-            vec = vectors[(group, window, practice)]
-            for fact, count in sorted(vec.counts.items(), key=lambda kv: kv[0].key):
-                writer.writerow([group, window, practice, fact.kind, fact.key, count])
+    return write_csv(
+        path,
+        ["group", "window", "practice", "fact_kind", "fact", "count"],
+        (
+            (*key, fact.kind, fact.key, count)
+            for key in sorted(vectors)
+            for fact, count in sorted(vectors[key].counts.items(), key=lambda kv: kv[0].key)
+        ),
+    )

@@ -22,9 +22,8 @@ import sys
 from pathlib import Path
 
 from . import pipeline, selftest, synth
-from .corpus import parse_timestamp
+from .corpus import parse_timestamp, write_transactions_jsonl
 from .errors import ConfigError, DataError
-from .facts import INSTITUTIONNESS_VARIANTS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,68 +40,27 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="settings file with 'key = value' lines")
-    sub.add_argument("--corpus", type=Path, help="line-delimited JSON corpus")
-    sub.add_argument("--roster", type=Path, help="CSV mapping user,group")
-    sub.add_argument("--follow-edges", type=Path, help="CSV follow edge list source,target")
-    sub.add_argument("--out", type=Path, help="output directory")
-    sub.add_argument("--epoch", help="observation start (ISO-8601 or epoch seconds)")
-    sub.add_argument("--weeks", type=int, help="number of observation windows")
-    sub.add_argument("--width-seconds", type=float, help="window width (default 604800)")
-    sub.add_argument("--rbo-p", type=float, help="reproduction persistence (default 0.9)")
-    sub.add_argument(
-        "--inst-variant",
-        choices=INSTITUTIONNESS_VARIANTS,
-        help="institutionness threshold variant (default literal)",
-    )
-    sub.add_argument("--practices", help="comma-separated practice subset")
-    sub.add_argument("--markers", help="event markers, comma-separated window:label")
-    sub.add_argument(
-        "--restrict-to-roster",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="keep only user references to roster members (default on)",
-    )
-    sub.add_argument(
-        "--retweet-hashtags",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="count hashtags inside retweeted text (default on)",
-    )
+    for setting in pipeline.SETTINGS:
+        meta = setting.metadata
+        flag = "--" + meta["key"].replace("_", "-")
+        sub.add_argument(flag, help=meta["help"], **meta["options"])
 
 
-def _merged_values(args: argparse.Namespace) -> dict[str, str]:
+def _run_config(args: argparse.Namespace) -> pipeline.RunConfig:
     """Config file settings overridden by any explicitly given flags."""
     values: dict[str, str] = {}
     if args.config is not None:
         values.update(pipeline.parse_config_file(args.config))
-    overrides = {
-        "corpus": args.corpus,
-        "roster": args.roster,
-        "follow_edges": args.follow_edges,
-        "out": args.out,
-        "epoch": args.epoch,
-        "weeks": args.weeks,
-        "width_seconds": args.width_seconds,
-        "rbo_p": args.rbo_p,
-        "inst_variant": args.inst_variant,
-        "practices": args.practices,
-        "markers": args.markers,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+    for setting in pipeline.SETTINGS:
+        key = setting.metadata["key"]
+        if (value := getattr(args, key)) is not None:
             values[key] = str(value)
-    for key, flag in (
-        ("restrict_to_roster", args.restrict_to_roster),
-        ("retweet_hashtags", args.retweet_hashtags),
-    ):
-        if flag is not None:
-            values[key] = "true" if flag else "false"
-    return values
+    return pipeline.build_run_config(values)
 
 
-def _run_stages(args: argparse.Namespace, stages: frozenset) -> int:
-    config = pipeline.build_run_config(_merged_values(args))
-    manifest = pipeline.run_pipeline(config, stages)
+def _run_stages(args: argparse.Namespace) -> int:
+    config = _run_config(args)
+    manifest = pipeline.run_pipeline(config, args.stages)
     print(f"wrote {len(manifest['artifacts'])} artifacts to {config.out_dir}")
     failed = {name: s for name, s in manifest["practices"].items() if s != "ok"}
     for name, s in sorted(failed.items()):
@@ -110,25 +68,8 @@ def _run_stages(args: argparse.Namespace, stages: frozenset) -> int:
     return EXIT_DATA if failed else EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    return _run_stages(args, pipeline.ALL_STAGES)
-
-
-def _cmd_measure(args) -> int:
-    return _run_stages(args, frozenset({"ingest", "vectors", "series"}))
-
-
-def _cmd_facts(args) -> int:
-    return _run_stages(args, frozenset({"facts"}))
-
-
-def _cmd_network(args) -> int:
-    return _run_stages(args, frozenset({"network"}))
-
-
 def _cmd_ingest(args) -> int:
-    config = pipeline.build_run_config(_merged_values(args))
-    counts = pipeline.run_ingest(config)
+    counts = pipeline.run_ingest(_run_config(args))
     print(
         f"read {counts['records_read']} records: "
         f"{counts['transactions']} transactions, "
@@ -176,14 +117,14 @@ def _cmd_synth(args) -> int:
             warmup_facts=args.warmup_facts,
             warmup_tokens=args.warmup_tokens,
             epoch=parse_timestamp(args.epoch),
-            width=args.width_seconds,
+            width=args.width,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
     transactions, roster = synth.generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    synth.write_corpus_jsonl(transactions, out / "corpus.jsonl")
+    write_transactions_jsonl(transactions, out / "corpus.jsonl")
     synth.write_roster_csv(roster, out / "roster.csv")
     print(
         f"wrote {len(transactions)} transactions for {len(roster)} members "
@@ -209,16 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, handler, doc in (
-        ("ingest", _cmd_ingest, "normalize a corpus into transactions + skip report"),
-        ("measure", _cmd_measure, "culture vectors and per-window measure series"),
-        ("facts", _cmd_facts, "per-fact institutionness and burst episodes"),
-        ("network", _cmd_network, "directed practice graphs and group statistics"),
-        ("report", _cmd_report, "full artifact set with manifest"),
+    # Run subcommands: name, help, and the stages they run (None: ingest only).
+    for name, doc, stages in (
+        ("ingest", "normalize a corpus into transactions + skip report", None),
+        ("measure", "culture vectors and per-window measure series",
+         frozenset({"ingest", "vectors", "series"})),
+        ("facts", "per-fact institutionness and burst episodes", frozenset({"facts"})),
+        ("network", "directed practice graphs and group statistics", frozenset({"network"})),
+        ("report", "full artifact set with manifest", pipeline.ALL_STAGES),
     ):
         p = sub.add_parser(name, help=doc)
         _add_run_options(p)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_ingest if stages is None else _run_stages, stages=stages)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and roster")
     p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -238,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup-tokens", type=int, default=1,
                    help="initial references per pre-existing fact (default 1)")
     p.add_argument("--epoch", default="0", help="stream start (default epoch second 0)")
-    p.add_argument("--width-seconds", type=float, default=7 * 86400.0,
-                   help="window width (default 604800)")
+    p.add_argument("--width-seconds", dest="width", metavar="WIDTH_SECONDS", type=float,
+                   default=7 * 86400.0, help="window width (default 604800)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("selftest", help="run the built-in check battery")

@@ -220,7 +220,7 @@ class IngestResult:
 
 
 def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
-                     restrict_to_roster: bool) -> list[Fact]:
+                     restrict_to_roster: bool) -> tuple[Fact, ...]:
     kind = KIND_FOR_PRACTICE[practice]
     cleaned = []
     for raw in keys:
@@ -238,7 +238,7 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
             if restrict_to_roster and key not in roster:
                 continue
         cleaned.append(key)
-    return [Fact(kind, k) for k in _dedupe(cleaned)]
+    return tuple(Fact(kind, k) for k in _dedupe(cleaned))
 
 
 def load_corpus(
@@ -300,16 +300,12 @@ def load_corpus(
                 result.skipped["malformed"] += 1
                 result.malformed_lines.append((line_no, "bad practice/facts fields"))
                 continue
-            per_practice = {practice: rec["facts"]}
-            emitted = 0
-            for prac, keys in per_practice.items():
-                facts = _facts_from_keys(prac, keys, roster, restrict_to_roster)
-                if facts:
-                    result.transactions.append(
-                        Transaction(rec_id, author, group, ts, prac, tuple(facts))
-                    )
-                    emitted += 1
-            if emitted == 0:
+            facts = _facts_from_keys(practice, rec["facts"], roster, restrict_to_roster)
+            if facts:
+                result.transactions.append(
+                    Transaction(rec_id, author, group, ts, practice, facts)
+                )
+            else:
                 result.skipped["no_facts"] += 1
             continue
 
@@ -389,13 +385,27 @@ def validate_transactions(
     return violations
 
 
-def write_ingest_report(result: IngestResult, path) -> None:
-    """Write the skip accounting as CSV ``reason,count``."""
+def fmt(value: Optional[float]) -> str:
+    """A float cell: ``%.10g``, empty for an undefined value."""
+    return "" if value is None else format(value, ".10g")
+
+
+def write_csv(path, header: list[str], rows: Iterable) -> int:
+    """Write one RFC-4180 CSV artifact, streaming the rows; returns the row count."""
+    count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["reason", "count"])
-        for reason in SKIP_REASONS:
-            writer.writerow([reason, result.skipped.get(reason, 0)])
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return count
+
+
+def write_ingest_report(result: IngestResult, path) -> int:
+    """Write the skip accounting as CSV ``reason,count``."""
+    return write_csv(
+        path, ["reason", "count"], ((r, result.skipped.get(r, 0)) for r in SKIP_REASONS)
+    )
 
 
 def write_transactions_jsonl(transactions: Iterable[Transaction], path) -> None:

@@ -19,13 +19,12 @@ strongest burst.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import lgamma, log
 from typing import Optional, Sequence
 
 from .binning import CultureVector, VectorKey, WindowSpec
-from .corpus import Fact
+from .corpus import Fact, fmt, write_csv
 
 P1_CLAMP_EPS = 1e-9
 
@@ -304,20 +303,13 @@ def fact_measures(
     return rows
 
 
-def write_fact_csv(rows: list[FactMeasureRow], path) -> None:
-    """Export as ``group,practice,fact,I,B,onset,end``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "practice", "fact", "I", "B", "onset", "end"])
-        for row in sorted(rows, key=lambda r: (r.group, r.fact.key, r.onset or 0)):
-            writer.writerow(
-                [
-                    row.group,
-                    row.practice,
-                    row.fact.key,
-                    row.institutionness,
-                    format(row.burstiness, ".10g"),
-                    "" if row.onset is None else row.onset,
-                    "" if row.end is None else row.end,
-                ]
-            )
+def write_fact_csv(rows: list[FactMeasureRow], path) -> int:
+    """Export as ``group,practice,fact,I,B,onset,end`` (empty onset/end: no episode)."""
+    return write_csv(
+        path,
+        ["group", "practice", "fact", "I", "B", "onset", "end"],
+        (
+            (r.group, r.practice, r.fact.key, r.institutionness, fmt(r.burstiness), r.onset, r.end)
+            for r in sorted(rows, key=lambda r: (r.group, r.fact.key, r.onset or 0))
+        ),
+    )

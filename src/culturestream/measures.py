@@ -17,12 +17,12 @@ Plus a frequency series (total references per window) and AVERAGE series
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .binning import CultureVector, RankedVector, VectorKey, WindowSpec, rank_vector
+from .corpus import fmt, write_csv
 
 AVERAGE = "AVERAGE"
 
@@ -232,19 +232,16 @@ def write_series_csv(
     series_by_group: dict[str, MeasureSeries],
     average: Optional[MeasureSeries],
     path,
-) -> None:
+) -> int:
     """Export one measure as ``group,window,value,sd`` (sd filled for AVERAGE)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "window", "value", "sd"])
+
+    def rows():
         for group in sorted(series_by_group):
             for window, value in series_by_group[group].points:
-                writer.writerow([group, window, _fmt(value), ""])
+                yield group, window, fmt(value), ""
         if average is not None:
             sd_map = dict(average.sd or [])
             for window, value in average.points:
-                writer.writerow([AVERAGE, window, _fmt(value), _fmt(sd_map.get(window))])
+                yield AVERAGE, window, fmt(value), fmt(sd_map.get(window))
 
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".10g")
+    return write_csv(path, ["group", "window", "value", "sd"], rows())

@@ -22,7 +22,8 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .corpus import Transaction, USER_KINDS
+from .corpus import USER_KINDS, Transaction, fmt, normalize_handle, write_csv
+from .errors import DataError
 
 TOTAL = "TOTAL"
 
@@ -42,9 +43,6 @@ class PracticeGraph:
             active.add(src)
             active.add(tgt)
         return active
-
-    def out_weight(self, node: str) -> int:
-        return sum(w for (s, _), w in self.arcs.items() if s == node)
 
     def total_weight(self) -> int:
         return sum(self.arcs.values())
@@ -91,9 +89,6 @@ def build_follow_graph(
 
 def load_follow_edges(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse a follow edge CSV with header ``source,target``."""
-    from .corpus import normalize_handle
-    from .errors import DataError
-
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -112,45 +107,6 @@ def load_follow_edges(lines: Iterable[str]) -> list[tuple[str, str]]:
     return edges
 
 
-def density(graph: PracticeGraph, scope: set[str]) -> Optional[float]:
-    """Distinct-arc density of the scope-induced subgraph; None below 2 nodes."""
-    n = len(scope)
-    if n < 2:
-        return None
-    inside = sum(1 for (s, t) in graph.arcs if s in scope and t in scope)
-    return inside / (n * (n - 1))
-
-
-def degree_weight_stats(
-    graph: PracticeGraph, scope: set[str]
-) -> Optional[tuple[float, float, float, float]]:
-    """(k_out, k_in, w_out, w_in) averaged over scope members.
-
-    Degrees and weights count arcs to or from any node in the graph, not
-    only arcs staying inside the scope.
-    """
-    if not scope:
-        return None
-    k_out = {n: 0 for n in scope}
-    k_in = {n: 0 for n in scope}
-    w_out = {n: 0 for n in scope}
-    w_in = {n: 0 for n in scope}
-    for (src, tgt), weight in graph.arcs.items():
-        if src in k_out:
-            k_out[src] += 1
-            w_out[src] += weight
-        if tgt in k_in:
-            k_in[tgt] += 1
-            w_in[tgt] += weight
-    n = len(scope)
-    return (
-        sum(k_out.values()) / n,
-        sum(k_in.values()) / n,
-        sum(w_out.values()) / n,
-        sum(w_in.values()) / n,
-    )
-
-
 def homophily_by_node(graph: PracticeGraph) -> dict[str, float]:
     """Per sender: share of out-going weight directed to same-group targets.
 
@@ -163,21 +119,6 @@ def homophily_by_node(graph: PracticeGraph) -> dict[str, float]:
         if graph.group_of.get(src) == graph.group_of.get(tgt):
             same[src] = same.get(src, 0) + weight
     return {node: same.get(node, 0) / tot for node, tot in total.items()}
-
-
-def homophily(graph: PracticeGraph) -> dict[str, Optional[float]]:
-    """Mean individual homophily per group plus the TOTAL scope.
-
-    Groups with no active senders map to None.
-    """
-    per_node = homophily_by_node(graph)
-    groups = sorted(set(graph.group_of.values()))
-    out: dict[str, Optional[float]] = {}
-    for group in groups:
-        values = [h for node, h in per_node.items() if graph.group_of.get(node) == group]
-        out[group] = sum(values) / len(values) if values else None
-    out[TOTAL] = sum(per_node.values()) / len(per_node) if per_node else None
-    return out
 
 
 @dataclass
@@ -193,67 +134,73 @@ class GroupNetworkStats:
 
 
 def group_stats(graph: PracticeGraph) -> list[GroupNetworkStats]:
-    """Stats rows for every group (sorted) followed by the TOTAL scope."""
-    nodes = graph.nodes()
-    by_group: dict[str, set[str]] = {}
-    for node in nodes:
-        by_group.setdefault(graph.group_of[node], set()).add(node)
-    hom = homophily(graph)
-    rows = []
-    for group in sorted(set(graph.group_of.values())):
-        scope = by_group.get(group, set())
-        dw = degree_weight_stats(graph, scope)
-        rows.append(
-            GroupNetworkStats(
-                group,
-                len(scope),
-                density(graph, scope),
-                dw[0] if dw else None,
-                dw[1] if dw else None,
-                dw[2] if dw else None,
-                dw[3] if dw else None,
-                hom.get(group),
-            )
-        )
-    dw = degree_weight_stats(graph, nodes)
-    rows.append(
-        GroupNetworkStats(
-            TOTAL,
-            len(nodes),
-            density(graph, nodes),
-            dw[0] if dw else None,
-            dw[1] if dw else None,
-            dw[2] if dw else None,
-            dw[3] if dw else None,
-            hom.get(TOTAL),
-        )
+    """Stats rows for every group (sorted) followed by the TOTAL scope.
+
+    One pass over the arcs tallies every group at once.  Homophily means sum
+    each scope's senders in ``homophily_by_node`` order.
+    """
+    group_of = graph.group_of
+    groups = sorted(set(group_of.values()))
+    active = graph.nodes()
+    # per group: [nodes, arcs inside, k_out, k_in, w_out, w_in]; degrees and
+    # weights count arcs to or from any node, not only arcs inside the group
+    tally = {group: [0, 0, 0, 0, 0, 0] for group in groups}
+    for node in active:
+        tally[group_of[node]][0] += 1
+    for (src, tgt), weight in graph.arcs.items():
+        src_group, tgt_group = group_of[src], group_of[tgt]
+        if src_group == tgt_group:
+            tally[src_group][1] += 1
+        tally[src_group][2] += 1
+        tally[src_group][4] += weight
+        tally[tgt_group][3] += 1
+        tally[tgt_group][5] += weight
+    per_node = homophily_by_node(graph)
+    hom: dict[str, list[float]] = {group: [] for group in groups}
+    for node, h in per_node.items():
+        hom[group_of[node]].append(h)
+    arcs, weight = len(graph.arcs), graph.total_weight()
+    scopes = [(group, tally[group], hom[group]) for group in groups]
+    scopes.append(
+        (TOTAL, [len(active), arcs, arcs, arcs, weight, weight], list(per_node.values()))
     )
+    rows = []
+    for scope, (n, inside, k_out, k_in, w_out, w_in), values in scopes:
+        means = [v / n for v in (k_out, k_in, w_out, w_in)] if n else [None] * 4
+        density = inside / (n * (n - 1)) if n >= 2 else None
+        homophily = sum(values) / len(values) if values else None
+        rows.append(GroupNetworkStats(scope, n, density, *means, homophily))
     return rows
 
 
-def write_stats_csv(stats: list[GroupNetworkStats], practice: str, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["practice", "group", "nodes", "density", "k_out", "k_in", "w_out", "w_in", "homophily"]
-        )
-        for s in stats:
-            writer.writerow(
-                [practice, s.group, s.nodes]
-                + [_fmt(v) for v in (s.density, s.k_out, s.k_in, s.w_out, s.w_in, s.homophily)]
-            )
+def homophily(graph: PracticeGraph) -> dict[str, Optional[float]]:
+    """Mean individual homophily per group plus the TOTAL scope.
+
+    Groups with no active senders map to None.
+    """
+    return {row.group: row.homophily for row in group_stats(graph)}
 
 
-def write_edges_csv(graph: PracticeGraph, path) -> None:
+def write_stats_csv(stats: list[GroupNetworkStats], practice: str, path) -> int:
+    return write_csv(
+        path,
+        ["practice", "group", "nodes", "density", "k_out", "k_in", "w_out", "w_in", "homophily"],
+        (
+            [practice, s.group, s.nodes]
+            + [fmt(v) for v in (s.density, s.k_out, s.k_in, s.w_out, s.w_in, s.homophily)]
+            for s in stats
+        ),
+    )
+
+
+def write_edges_csv(graph: PracticeGraph, path) -> int:
     """Export arcs as ``source,target,weight,source_group,target_group``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "weight", "source_group", "target_group"])
-        for (src, tgt) in sorted(graph.arcs):
-            writer.writerow(
-                [src, tgt, graph.arcs[(src, tgt)], graph.group_of[src], graph.group_of[tgt]]
-            )
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".10g")
+    group_of = graph.group_of
+    return write_csv(
+        path,
+        ["source", "target", "weight", "source_group", "target_group"],
+        (
+            (src, tgt, weight, group_of[src], group_of[tgt])
+            for (src, tgt), weight in sorted(graph.arcs.items())
+        ),
+    )

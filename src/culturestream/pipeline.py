@@ -9,18 +9,22 @@ flags, or both (flags win).  Config file format, one setting per line:
     epoch = 2013-07-20T00:00:00Z
     weeks = 13
 
-Relative paths in a config file are resolved against the file's directory.
-All artifacts are CSV except the manifest (JSON with config hash, input
-checksums, and per-artifact row counts).  Outputs are deterministic: two
-runs over the same inputs produce byte-identical directories.
+'#' starts a comment at the start of a line or after whitespace, so
+``corpus = data#1.jsonl`` keeps its '#'.  Relative paths in a config file are
+resolved against the file's directory.  All artifacts are CSV except the
+manifest (JSON with config hash, input checksums, and per-artifact row
+counts).  Outputs are deterministic: two runs over the same inputs produce
+byte-identical directories.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -42,22 +46,91 @@ USER_PRACTICES = ("retweeting", "mentioning")
 
 ALL_STAGES = frozenset({"ingest", "vectors", "series", "facts", "network"})
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 
-@dataclass
+
+def _parse_bool(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _parse_practices(value: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in value.split(",") if p.strip())
+
+
+def _parse_markers(value: str) -> list[tuple[int, str]]:
+    markers = []
+    for item in value.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        window, _, label = item.partition(":")
+        try:
+            markers.append((int(window), label))
+        except ValueError:
+            raise ValueError(f"expected 'window:label', got {item!r}")
+    return markers
+
+
+def _setting(key: str, parse, help: str, path: bool = False, options=None, **field_args):
+    """A RunConfig field that is also one run setting.
+
+    ``key`` is the config-file key (the flag is ``--`` plus the key with '_'
+    as '-'), ``parse`` turns its string form into the field value, ``help``
+    and ``options`` go to argparse, and ``path`` marks values that a config
+    file resolves against its own directory.
+    """
+    meta = {"key": key, "parse": parse, "help": help, "path": path, "options": options or {}}
+    return field(metadata=meta, **field_args)
+
+
+_BOOL_FLAG = {"action": argparse.BooleanOptionalAction, "default": None}
+
+
+@dataclass(kw_only=True)
 class RunConfig:
-    corpus: Path
-    roster: Path
-    out_dir: Path
-    epoch: float
-    count: int
-    width: float = 7 * 86400.0
-    follow_edges: Optional[Path] = None
-    practices: tuple[str, ...] = TEMPORAL_PRACTICES
-    rbo_p: float = 0.9
-    inst_variant: str = "literal"
-    restrict_to_roster: bool = True
-    include_retweet_hashtags: bool = True
-    markers: list[tuple[int, str]] = field(default_factory=list)
+    """The run settings, in flag order; field names are the manifest's echo keys."""
+
+    corpus: Path = _setting("corpus", Path, "line-delimited JSON corpus", path=True)
+    roster: Path = _setting("roster", Path, "CSV mapping user,group", path=True)
+    follow_edges: Optional[Path] = _setting(
+        "follow_edges", lambda v: Path(v) if v else None,
+        "CSV follow edge list source,target", path=True, default=None,
+    )
+    out_dir: Path = _setting("out", Path, "output directory", path=True)
+    epoch: float = _setting(
+        "epoch", parse_timestamp, "observation start (ISO-8601 or epoch seconds)"
+    )
+    count: int = _setting("weeks", int, "number of observation windows")
+    width: float = _setting(
+        "width_seconds", float, "window width (default 604800)", default=7 * 86400.0
+    )
+    rbo_p: float = _setting("rbo_p", float, "reproduction persistence (default 0.9)", default=0.9)
+    inst_variant: str = _setting(
+        "inst_variant", str, "institutionness threshold variant (default literal)",
+        options={"choices": facts.INSTITUTIONNESS_VARIANTS}, default="literal",
+    )
+    practices: tuple[str, ...] = _setting(
+        "practices", _parse_practices, "comma-separated practice subset",
+        default=TEMPORAL_PRACTICES,
+    )
+    markers: list[tuple[int, str]] = _setting(
+        "markers", _parse_markers, "event markers, comma-separated window:label",
+        default_factory=list,
+    )
+    restrict_to_roster: bool = _setting(
+        "restrict_to_roster", _parse_bool,
+        "keep only user references to roster members (default on)",
+        options=_BOOL_FLAG, default=True,
+    )
+    include_retweet_hashtags: bool = _setting(
+        "retweet_hashtags", _parse_bool, "count hashtags inside retweeted text (default on)",
+        options=_BOOL_FLAG, default=True,
+    )
 
     def validate(self) -> None:
         if not Path(self.corpus).is_file():
@@ -85,13 +158,16 @@ class RunConfig:
         return (self.epoch, self.epoch + self.width * self.count)
 
 
+SETTINGS = fields(RunConfig)
+
+
 def parse_config_file(path) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' starts a comment."""
+    """Read ``key = value`` lines; '#' at line start or after whitespace starts a comment."""
     values: dict[str, str] = {}
     base = Path(path).parent
-    path_keys = {"corpus", "roster", "follow_edges", "out"}
+    path_keys = {s.metadata["key"] for s in SETTINGS if s.metadata["path"]}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -105,64 +181,22 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
-def _parse_markers(value: str) -> list[tuple[int, str]]:
-    markers = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        window, _, label = item.partition(":")
-        try:
-            markers.append((int(window), label))
-        except ValueError:
-            raise ConfigError(f"markers: expected 'window:label', got {item!r}")
-    return markers
-
-
 def build_run_config(values: dict[str, str]) -> RunConfig:
     """Typed RunConfig from merged string settings (file values + flags)."""
-    missing = [key for key in ("corpus", "roster", "out", "epoch", "weeks") if not values.get(key)]
+    required = [s.metadata["key"] for s in SETTINGS
+                if s.default is MISSING and s.default_factory is MISSING]
+    missing = [key for key in required if not values.get(key)]
     if missing:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")
-    try:
-        epoch = parse_timestamp(values["epoch"])
-    except ValueError as exc:
-        raise ConfigError(f"epoch: {exc}")
-    try:
-        count = int(values["weeks"])
-        width = float(values.get("width_seconds", 7 * 86400))
-        rbo_p = float(values.get("rbo_p", 0.9))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    practices = tuple(
-        p.strip() for p in values.get("practices", ",".join(TEMPORAL_PRACTICES)).split(",") if p.strip()
-    )
-    return RunConfig(
-        corpus=Path(values["corpus"]),
-        roster=Path(values["roster"]),
-        out_dir=Path(values["out"]),
-        epoch=epoch,
-        count=count,
-        width=width,
-        follow_edges=Path(values["follow_edges"]) if values.get("follow_edges") else None,
-        practices=practices,
-        rbo_p=rbo_p,
-        inst_variant=values.get("inst_variant", "literal"),
-        restrict_to_roster=_parse_bool(values.get("restrict_to_roster", "true"), "restrict_to_roster"),
-        include_retweet_hashtags=_parse_bool(
-            values.get("retweet_hashtags", "true"), "retweet_hashtags"
-        ),
-        markers=_parse_markers(values.get("markers", "")),
-    )
+    parsed = {}
+    for setting in SETTINGS:
+        key = setting.metadata["key"]
+        if key in values:
+            try:
+                parsed[setting.name] = setting.metadata["parse"](values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}")
+    return RunConfig(**parsed)
 
 
 def _sha256_file(path) -> str:
@@ -173,164 +207,29 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _plain(value):
+    """A setting value as JSON data: paths as strings, sequences as lists."""
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _config_echo(config: RunConfig) -> dict:
     # out_dir is deliberately excluded so runs into different directories
     # stay byte-identical.
-    return {
-        "corpus": str(config.corpus),
-        "roster": str(config.roster),
-        "follow_edges": str(config.follow_edges) if config.follow_edges else None,
-        "epoch": config.epoch,
-        "count": config.count,
-        "width": config.width,
-        "practices": list(config.practices),
-        "rbo_p": config.rbo_p,
-        "inst_variant": config.inst_variant,
-        "restrict_to_roster": config.restrict_to_roster,
-        "include_retweet_hashtags": config.include_retweet_hashtags,
-        "markers": [[w, label] for w, label in config.markers],
-    }
+    return {s.name: _plain(getattr(config, s.name)) for s in SETTINGS if s.name != "out_dir"}
 
 
-def _row_count(path) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        return max(sum(1 for _ in fh) - 1, 0)
+def _load(config: RunConfig):
+    """Validate, read the roster and corpus, and make the output directory.
 
-
-def run_pipeline(
-    config: RunConfig,
-    stages: frozenset = ALL_STAGES,
-    write_manifest: bool = True,
-) -> dict:
-    """Run the selected stages and return the manifest.
-
-    Nothing is written before the configuration validates.  A failure inside
-    one practice is recorded in the manifest and does not disturb the other
-    practices' artifacts.
+    Nothing is written before the configuration validates and both inputs
+    have been read.  Returns (roster, ingest result, output directory).
     """
     config.validate()
-
-    with open(config.roster, encoding="utf-8") as fh:
-        roster = load_roster(fh)
-    groups = sorted(set(roster.values()))
-    span = config.span()
-    with open(config.corpus, encoding="utf-8") as fh:
-        ingest = load_corpus(
-            fh,
-            roster,
-            span,
-            restrict_to_roster=config.restrict_to_roster,
-            include_retweet_hashtags=config.include_retweet_hashtags,
-        )
-    if not ingest.transactions:
-        logger.warning("corpus produced no transactions; artifacts will be header-only")
-
-    spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
-    vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, int] = {}
-    status: dict[str, str] = {}
-    rbo = RboParams(config.rbo_p)
-
-    def emit(name: str, writer) -> None:
-        path = out / name
-        writer(path)
-        artifacts[name] = _row_count(path)
-
-    if "ingest" in stages:
-        emit("ingest_report.csv", lambda p: write_ingest_report(ingest, p))
-
-    for practice in config.practices:
-        try:
-            practice_vectors = {k: v for k, v in vectors.items() if k[2] == practice}
-            if "vectors" in stages:
-                emit(
-                    f"vectors_{practice}.csv",
-                    lambda p, pv=practice_vectors: binning.write_vectors_csv(pv, p),
-                )
-            if "series" in stages:
-                for measure in measures.MEASURES:
-                    per_group = measures.build_series(
-                        vectors, spec, practice, groups, measure, rbo
-                    )
-                    avg = measures.average_series(per_group) if per_group else None
-                    emit(
-                        f"{measure}_{practice}.csv",
-                        lambda p, g=per_group, a=avg: measures.write_series_csv(g, a, p),
-                    )
-            if "facts" in stages:
-                rows = facts.fact_measures(vectors, spec, groups, practice, config.inst_variant)
-                emit(f"facts_{practice}.csv", lambda p, r=rows: facts.write_fact_csv(r, p))
-            if "network" in stages and practice in USER_PRACTICES:
-                graph = network.build_graph(ingest.transactions, practice, roster)
-                stats = network.group_stats(graph)
-                emit(
-                    f"network_{practice}.csv",
-                    lambda p, s=stats, pr=practice: network.write_stats_csv(s, pr, p),
-                )
-                emit(f"edges_{practice}.csv", lambda p, g=graph: network.write_edges_csv(g, p))
-            status[practice] = "ok"
-        except Exception as exc:  # isolate practice failures
-            logger.exception("practice %s failed", practice)
-            status[practice] = f"failed: {exc}"
-
-    if "network" in stages and config.follow_edges is not None:
-        try:
-            with open(config.follow_edges, encoding="utf-8") as fh:
-                edges = network.load_follow_edges(fh)
-            graph, skipped_edges = network.build_follow_graph(edges, roster)
-            if skipped_edges:
-                logger.info("skipped %d follow edges outside the roster", skipped_edges)
-            stats = network.group_stats(graph)
-            emit(
-                "network_following.csv",
-                lambda p, s=stats: network.write_stats_csv(s, "following", p),
-            )
-            emit("edges_following.csv", lambda p, g=graph: network.write_edges_csv(g, p))
-            status["following"] = "ok"
-        except Exception as exc:
-            logger.exception("following network failed")
-            status["following"] = f"failed: {exc}"
-
-    echo = _config_echo(config)
-    inputs = {
-        "corpus": {"path": str(config.corpus), "sha256": _sha256_file(config.corpus)},
-        "roster": {"path": str(config.roster), "sha256": _sha256_file(config.roster)},
-    }
-    if config.follow_edges is not None:
-        inputs["follow_edges"] = {
-            "path": str(config.follow_edges),
-            "sha256": _sha256_file(config.follow_edges),
-        }
-    manifest = {
-        "config": echo,
-        "config_sha256": hashlib.sha256(
-            json.dumps(echo, sort_keys=True).encode("utf-8")
-        ).hexdigest(),
-        "inputs": inputs,
-        "ingest": {
-            "records_read": ingest.records_read,
-            "transactions": len(ingest.transactions),
-            "skipped": dict(ingest.skipped),
-            "dropped_outside_grid": dropped,
-        },
-        "artifacts": artifacts,
-        "practices": status,
-        "markers": [[w, label] for w, label in config.markers],
-    }
-    if write_manifest:
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    return manifest
-
-
-def run_ingest(config: RunConfig) -> dict:
-    """Ingest only: normalized transaction stream plus the skip report."""
-    config.validate()
-    with open(config.roster, encoding="utf-8") as fh:
+    with open(config.roster, encoding="utf-8-sig") as fh:
         roster = load_roster(fh)
     with open(config.corpus, encoding="utf-8") as fh:
         ingest = load_corpus(
@@ -342,10 +241,115 @@ def run_ingest(config: RunConfig) -> dict:
         )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_transactions_jsonl(ingest.transactions, out / "transactions.jsonl")
-    write_ingest_report(ingest, out / "ingest_report.csv")
+    return roster, ingest, out
+
+
+def _ingest_counts(ingest) -> dict:
     return {
         "records_read": ingest.records_read,
         "transactions": len(ingest.transactions),
         "skipped": dict(ingest.skipped),
     }
+
+
+def run_pipeline(
+    config: RunConfig,
+    stages: frozenset = ALL_STAGES,
+    write_manifest: bool = True,
+) -> dict:
+    """Run the selected stages and return the manifest.
+
+    A failure inside one practice is recorded in the manifest and does not
+    disturb the other practices' artifacts.
+    """
+    roster, ingest, out = _load(config)
+    if not ingest.transactions:
+        logger.warning("corpus produced no transactions; artifacts will be header-only")
+    groups = sorted(set(roster.values()))
+    spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
+    vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
+
+    artifacts: dict[str, int] = {}
+    status: dict[str, str] = {}
+    rbo = RboParams(config.rbo_p)
+
+    def emit(name: str, writer, *args) -> None:
+        artifacts[name] = writer(*args, out / name)
+
+    def emit_graph(practice: str, graph: network.PracticeGraph) -> None:
+        emit(f"network_{practice}.csv", network.write_stats_csv, network.group_stats(graph),
+             practice)
+        emit(f"edges_{practice}.csv", network.write_edges_csv, graph)
+
+    if "ingest" in stages:
+        emit("ingest_report.csv", write_ingest_report, ingest)
+
+    for practice in config.practices:
+        try:
+            if "vectors" in stages:
+                practice_vectors = {k: v for k, v in vectors.items() if k[2] == practice}
+                emit(f"vectors_{practice}.csv", binning.write_vectors_csv, practice_vectors)
+            if "series" in stages:
+                for measure in measures.MEASURES:
+                    per_group = measures.build_series(
+                        vectors, spec, practice, groups, measure, rbo
+                    )
+                    avg = measures.average_series(per_group) if per_group else None
+                    emit(f"{measure}_{practice}.csv", measures.write_series_csv, per_group, avg)
+            if "facts" in stages:
+                rows = facts.fact_measures(vectors, spec, groups, practice, config.inst_variant)
+                emit(f"facts_{practice}.csv", facts.write_fact_csv, rows)
+            if "network" in stages and practice in USER_PRACTICES:
+                emit_graph(practice, network.build_graph(ingest.transactions, practice, roster))
+            status[practice] = "ok"
+        except Exception as exc:  # isolate practice failures
+            logger.exception("practice %s failed", practice)
+            status[practice] = f"failed: {exc}"
+
+    if "network" in stages and config.follow_edges is not None:
+        try:
+            with open(config.follow_edges, encoding="utf-8-sig") as fh:
+                edges = network.load_follow_edges(fh)
+            graph, skipped_edges = network.build_follow_graph(edges, roster)
+            if skipped_edges:
+                logger.info("skipped %d follow edges outside the roster", skipped_edges)
+            emit_graph("following", graph)
+            status["following"] = "ok"
+        except Exception as exc:
+            logger.exception("following network failed")
+            status["following"] = f"failed: {exc}"
+
+    echo = _config_echo(config)
+    inputs = {
+        name: {"path": str(path), "sha256": _sha256_file(path)}
+        for name, path in (
+            ("corpus", config.corpus),
+            ("roster", config.roster),
+            ("follow_edges", config.follow_edges),
+        )
+        if path is not None
+    }
+    manifest = {
+        "config": echo,
+        "config_sha256": hashlib.sha256(
+            json.dumps(echo, sort_keys=True).encode("utf-8")
+        ).hexdigest(),
+        "inputs": inputs,
+        "ingest": dict(_ingest_counts(ingest), dropped_outside_grid=dropped),
+        "artifacts": artifacts,
+        "practices": status,
+        "markers": echo["markers"],
+    }
+    if write_manifest:
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+    return manifest
+
+
+def run_ingest(config: RunConfig) -> dict:
+    """Ingest only: normalized transaction stream plus the skip report."""
+    _, ingest, out = _load(config)
+    write_transactions_jsonl(ingest.transactions, out / "transactions.jsonl")
+    write_ingest_report(ingest, out / "ingest_report.csv")
+    return _ingest_counts(ingest)

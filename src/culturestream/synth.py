@@ -26,13 +26,12 @@ ingest layer consumes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .corpus import Fact, Transaction, write_transactions_jsonl
+from .corpus import Fact, Transaction, write_csv
 
 GENERATED_PRACTICES = ("tagging", "retweeting", "mentioning")
 
@@ -197,14 +196,5 @@ def _draw_target(rng, member, members, index_of, own_group, hom) -> Optional[str
     return members[pick]
 
 
-def write_corpus_jsonl(transactions: list[Transaction], path) -> None:
-    """Emit the pre-extracted record schema, one JSON object per line."""
-    write_transactions_jsonl(transactions, path)
-
-
-def write_roster_csv(roster: dict[str, str], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "group"])
-        for user in sorted(roster):
-            writer.writerow([user, roster[user]])
+def write_roster_csv(roster: dict[str, str], path) -> int:
+    return write_csv(path, ["user", "group"], ((user, roster[user]) for user in sorted(roster)))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import culturestream
 from culturestream.cli import main
 
 
@@ -156,9 +159,12 @@ class TestStageSubsets:
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the same package as this test, installed or not
+    src = str(Path(culturestream.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "culturestream.cli", "selftest", "--only", "rbo_identical"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert result.returncode == 0
     assert "1/1 checks passed" in result.stdout

@@ -10,8 +10,6 @@ from culturestream.network import (
     TOTAL,
     build_follow_graph,
     build_graph,
-    degree_weight_stats,
-    density,
     group_stats,
     homophily,
     homophily_by_node,
@@ -89,19 +87,26 @@ class TestStats:
         ]
         return build_graph(txs, "retweeting", ROSTER)
 
+    def _rows(self, graph):
+        return {row.group: row for row in group_stats(graph)}
+
     def test_density_counts_distinct_arcs_inside_scope(self):
-        graph = self._graph()
-        assert density(graph, {"alice", "bob"}) == pytest.approx(1 / 2)  # 1 of 2 slots
-        assert density(graph, {"alice", "bob", "carol"}) == pytest.approx(3 / 6)
-        assert density(graph, {"alice"}) is None
+        rows = self._rows(self._graph())
+        # scopes: A = {alice, bob}, TOTAL = {alice, bob, carol}, B = {carol}
+        assert rows["A"].density == pytest.approx(1 / 2)  # 1 of 2 slots
+        assert rows[TOTAL].density == pytest.approx(3 / 6)
+        assert rows["B"].density is None
 
     def test_degree_and_weight_averages(self):
-        graph = self._graph()
-        stats = degree_weight_stats(graph, {"alice", "bob"})
+        row = self._rows(self._graph())["A"]
         # alice: out 1 arc / 2 weight, in 1 arc / 3 weight
         # bob:   out 1 arc / 1 weight, in 1 arc / 2 weight
-        assert stats == pytest.approx((1.0, 1.0, 1.5, 2.5))
-        assert degree_weight_stats(graph, set()) is None
+        assert (row.k_out, row.k_in, row.w_out, row.w_in) == pytest.approx((1.0, 1.0, 1.5, 2.5))
+        # a group with no active member (B below: dave and carol silent)
+        silent = self._rows(build_graph([_rt("1", "alice", ["bob"])], "retweeting", ROSTER))["B"]
+        assert (silent.nodes, silent.k_out, silent.k_in, silent.w_out, silent.w_in) == (
+            0, None, None, None, None
+        )
 
     def test_node_homophily_is_share_of_same_group_weight(self):
         per_node = homophily_by_node(self._graph())
@@ -133,10 +138,9 @@ class TestStats:
 
     def test_weight_conservation(self):
         graph = self._graph()
-        nodes = graph.nodes()
-        stats = degree_weight_stats(graph, nodes)
-        n = len(nodes)
-        assert stats[2] * n == stats[3] * n == graph.total_weight() == 6
+        total = self._rows(graph)[TOTAL]
+        n = total.nodes
+        assert total.w_out * n == total.w_in * n == graph.total_weight() == 6
 
 
 def test_stats_csv_golden(tmp_path):

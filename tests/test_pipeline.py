@@ -15,7 +15,8 @@ from culturestream.pipeline import (
     run_ingest,
     run_pipeline,
 )
-from culturestream.synth import SynthConfig, generate, write_corpus_jsonl, write_roster_csv
+from culturestream.corpus import write_transactions_jsonl
+from culturestream.synth import SynthConfig, generate, write_roster_csv
 
 
 def _small_inputs(tmp_path, **synth_overrides):
@@ -25,7 +26,7 @@ def _small_inputs(tmp_path, **synth_overrides):
     )
     base.update(synth_overrides)
     txs, roster = generate(SynthConfig(**base))
-    write_corpus_jsonl(txs, tmp_path / "corpus.jsonl")
+    write_transactions_jsonl(txs, tmp_path / "corpus.jsonl")
     write_roster_csv(roster, tmp_path / "roster.csv")
     return {
         "corpus": str(tmp_path / "corpus.jsonl"),
@@ -51,6 +52,22 @@ class TestConfigFile:
         assert values["corpus"] == str(tmp_path / "data" / "corpus.jsonl")
         assert values["roster"] == "/abs/roster.csv"
         assert values["weeks"] == "13"
+
+    def test_hash_inside_value_is_not_a_comment(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "corpus = data#1.jsonl\n"
+            "roster = roster.csv\t# comment after a tab\n"
+            "#out = commented-out\n"
+            "  # indented comment\n"
+            "markers = 2:tag#x\n"
+        )
+        values = parse_config_file(cfg)
+        assert values == {
+            "corpus": str(tmp_path / "data#1.jsonl"),
+            "roster": str(tmp_path / "roster.csv"),
+            "markers": "2:tag#x",
+        }
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -195,6 +212,30 @@ class TestRunPipeline:
 
     def test_all_stages_constant_covers_every_stage(self):
         assert ALL_STAGES == {"ingest", "vectors", "series", "facts", "network"}
+
+
+class TestByteOrderMark:
+    """Roster and follow CSVs saved with a UTF-8 byte order mark are accepted."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_roster_with_bom(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes(self.BOM + roster.read_bytes())
+        manifest = run_pipeline(build_run_config(values))
+        assert all(v == "ok" for v in manifest["practices"].values())
+        assert manifest["ingest"]["transactions"] > 0
+        assert manifest["ingest"]["skipped"]["unknown_author"] == 0
+
+    def test_follow_edges_with_bom(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        follow = tmp_path / "follow.csv"
+        follow.write_bytes(self.BOM + b"source,target\na000,a001\nb000,a000\n")
+        values["follow_edges"] = str(follow)
+        manifest = run_pipeline(build_run_config(values))
+        assert manifest["practices"]["following"] == "ok"
+        assert manifest["artifacts"]["edges_following.csv"] == 2
 
 
 class TestRunIngest:

@@ -11,7 +11,6 @@ from culturestream.binning import (
     WindowSpec,
     bin_transactions,
     rank_vector,
-    reference_pairs,
     write_vectors_csv,
 )
 from culturestream.corpus import Fact, Transaction
@@ -84,11 +83,6 @@ class TestBinning:
         )
         assert dropped == 2
         assert ("A", 1, "tagging") in vectors
-
-    def test_reference_pairs_counts_facts_inside_span(self):
-        spec = WindowSpec(epoch=0.0, count=1, width=10.0)
-        txs = [_tx("1", 1.0, ["a", "b"]), _tx("2", 99.0, ["c"])]
-        assert reference_pairs(txs, spec) == 2
 
 
 class TestRanking:

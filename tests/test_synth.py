@@ -5,13 +5,17 @@ from __future__ import annotations
 import pytest
 
 from culturestream.binning import WindowSpec, bin_transactions
-from culturestream.corpus import load_corpus, load_roster, validate_transactions
+from culturestream.corpus import (
+    load_corpus,
+    load_roster,
+    validate_transactions,
+    write_transactions_jsonl,
+)
 from culturestream.network import build_graph, homophily
 from culturestream.synth import (
     BurstInjection,
     SynthConfig,
     generate,
-    write_corpus_jsonl,
     write_roster_csv,
 )
 
@@ -151,7 +155,7 @@ class TestStreamContract:
         txs, roster = generate(config)
         corpus_path = tmp_path / "corpus.jsonl"
         roster_path = tmp_path / "roster.csv"
-        write_corpus_jsonl(txs, corpus_path)
+        write_transactions_jsonl(txs, corpus_path)
         write_roster_csv(roster, roster_path)
 
         with open(roster_path, encoding="utf-8") as fh:
