@@ -1,11 +1,13 @@
-"""Golden digests: every artifact of two fixed runs, byte for byte.
+"""Golden digests: every artifact of three fixed runs, byte for byte.
 
 The digests pin the exact output bytes, manifest included.  A change that
 alters any of them changes what the tool reports and must say so (and why)
 in CHANGES.md; regenerating them silently is not allowed.
 
-Both runs use relative input names from inside their own directory, so the
+Every run uses relative input names from inside its own directory, so the
 paths echoed into ``manifest.json`` do not depend on where the checkout is.
+The synthetic run covers what the 3-group demo does not: similarity over
+many groups and many burst episodes per group.
 """
 
 from __future__ import annotations
@@ -118,6 +120,63 @@ RAW_INGEST_DIGESTS = {
     "transactions.jsonl":
         "cead9f16e463cac29ddade8dbbade50b8db2a82ee2b337a3f888f825e11199ae",
 }
+
+SYNTH_DIGESTS = {
+    "edges_mentioning.csv":
+        "d5bf0458e51111b00caca2452ee4e3021ec0aa71f22a69cab402b0c82a9ada4a",
+    "edges_retweeting.csv":
+        "ceb4f87fa4699b77fe8787d47fc1420321d7c5ff5451f1af8e1a6d2d1347a84b",
+    "facts_mentioning.csv":
+        "3cdbf4ad437c64248efac212bf616c98cea848520ff07d3fc471a8a92f464a64",
+    "facts_retweeting.csv":
+        "b816047786c739ded9066b9329751128f6e20e35d813afc35d0d11bf39fbbb78",
+    "facts_tagging.csv":
+        "6cc55ecfa9c93e9f9444668ebc3c8a1e88725cf3da46e3a29318c7cdd6a229c7",
+    "focus_mentioning.csv":
+        "e62bf3a7ddfc8bf2d24394468bd5d84106c5407bba5da6e796158a6df30e263a",
+    "focus_retweeting.csv":
+        "df7cfe58122e7e5f4e1fd382632f2005120894747531c9df62e0a71144234b3d",
+    "focus_tagging.csv":
+        "b86f94a89c4fa027c92690a88e7fd3fdd1510401f82cca3be7667643afabbacf",
+    "frequency_mentioning.csv":
+        "23576e6456493651273c7e641d2fd645b34ca8f6edc20d364e9c3439c58940b7",
+    "frequency_retweeting.csv":
+        "d6b846eb20fb84787dd914f8aab3ff426610189cfb2cd7208b4796b6416ac3e2",
+    "frequency_tagging.csv":
+        "ed95ad787945be8137d01ca73f956c533253a0eb3612fc485e4ac7618df7a33e",
+    "ingest_report.csv":
+        "de96da6900e29f2212ff895de0c674f24a1e9c4caea3d0dbfd9684e9a6d5a3b6",
+    "manifest.json":
+        "da03c50f24d702f059cd4c5bcf200de3307aabf1a773746d1d45f234dfab3ce0",
+    "network_mentioning.csv":
+        "ee45e347b2ddf3f752ab9ea89bab92ba1a76c1e623671c88798ce55f545b7ab5",
+    "network_retweeting.csv":
+        "9169160d17c39d3170651d007a01dde06decb786fd7b86ee30e0067564607ab4",
+    "reproduction_mentioning.csv":
+        "6a4d627630af02010d66011a6cbac81415afd4b09853212c4f5931346b5520ce",
+    "reproduction_retweeting.csv":
+        "8e3789a27df8578e59756ebf460b211093302169c8d3bd3687c629e9d93ba279",
+    "reproduction_tagging.csv":
+        "6d2e67df19b0fe6180446a593545ce4204d5ffeb9fa41fee3a4de71fb1eaa4e2",
+    "similarity_mentioning.csv":
+        "170920647eba37a3e8edadb06d43c75b2b4f879a3ccf3969109df297e93066d1",
+    "similarity_retweeting.csv":
+        "54e029c11b8103bfdd2b0ac328934bc3fe4dcecfe62f983d1721557d7edaeab0",
+    "similarity_tagging.csv":
+        "aae7d7b83ed8a5f004a3aa777492f5e6033436ac1677fa4f88457d132411110c",
+    "vectors_mentioning.csv":
+        "ac5aaad1a6e6b45d00bbece818cbfea4fb31e11d1634ee998098e68b6094a1bd",
+    "vectors_retweeting.csv":
+        "902df0a13eea0f1a3235409c714aaa697b311769ef729a378a974293c0644214",
+    "vectors_tagging.csv":
+        "1fe6cf1a70cfe7f7b0362fb18bc015459cec75ebb7bbd3cd520d3505970c9ff8",
+}
+
+SYNTH_ARGS = [
+    "synth", "--out", "in", "--seed", "5", "--weeks", "13",
+    "--groups", ",".join(f"G{i}:4" for i in range(10)),
+    "--rate", "2", "--burst", "storm:7:8:5", "--warmup-facts", "30", "--warmup-tokens", "10",
+]
 
 # Every one of the run settings at a non-default value.
 RAW_SETTINGS = {
@@ -253,3 +312,11 @@ def test_raw_text_digests_config_file_and_flags_agree(raw_dir):
 def test_raw_text_ingest_digests(raw_dir):
     assert main(["ingest", "--config", "raw.cfg", "--out", "ingest"]) == 0
     assert _digests(raw_dir / "ingest") == RAW_INGEST_DIGESTS
+
+
+def test_synthetic_ten_group_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(SYNTH_ARGS) == 0
+    assert main(["report", "--corpus", "in/corpus.jsonl", "--roster", "in/roster.csv",
+                 "--epoch", "0", "--weeks", "13", "--out", "out"]) == 0
+    assert _digests(tmp_path / "out") == SYNTH_DIGESTS
