@@ -27,8 +27,6 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .facts import (
-    BurstEpisode,
-    FactSeries,
     avg_rate,
     burst_episodes,
     collect_fact_series,
@@ -37,7 +35,6 @@ from .facts import (
     normalize_bursts,
 )
 from .measures import (
-    RboParams,
     focus,
     group_similarity,
     pair_similarity,
@@ -51,16 +48,13 @@ from .synth import BurstInjection, SynthConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BurstEpisode",
     "BurstInjection",
     "ConfigError",
     "CultureVector",
     "DataError",
     "Fact",
-    "FactSeries",
     "IngestResult",
     "PracticeGraph",
-    "RboParams",
     "RunConfig",
     "SynthConfig",
     "Transaction",

@@ -8,7 +8,7 @@ measures surface as null points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .corpus import Fact, Transaction, write_csv
@@ -40,28 +40,9 @@ class WindowSpec:
             return None
         return int((timestamp - self.epoch) // self.width) + 1
 
-    def start_of(self, window: int) -> float:
-        return self.epoch + (window - 1) * self.width
 
-
-@dataclass
-class CultureVector:
-    """Fact reference counts for one (group, window, practice) cell."""
-
-    group: str
-    window: int
-    practice: str
-    counts: dict[Fact, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-RankedVector = list[tuple[Fact, int]]
+# The fact-frequency distribution of one (group, window, practice) cell.
+CultureVector = dict[Fact, int]
 
 
 def bin_transactions(
@@ -82,17 +63,17 @@ def bin_transactions(
         key = (t.group, window, t.practice)
         vec = vectors.get(key)
         if vec is None:
-            vec = vectors[key] = CultureVector(t.group, window, t.practice)
+            vec = vectors[key] = {}
         for fact in t.facts:
-            vec.counts[fact] = vec.counts.get(fact, 0) + 1
+            vec[fact] = vec.get(fact, 0) + 1
     return vectors, dropped
 
 
-def rank_vector(vector: CultureVector) -> RankedVector:
-    """Deterministic ranking: descending count, ties ascending by fact key."""
-    if not vector.counts:
+def rank_vector(vector: CultureVector) -> list[Fact]:
+    """The facts in rank order: descending count, ties ascending by fact key."""
+    if not vector:
         raise ValueError("empty culture")
-    return sorted(vector.counts.items(), key=lambda kv: (-kv[1], kv[0].key))
+    return sorted(vector, key=lambda fact: (-vector[fact], fact.key))
 
 
 def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> int:
@@ -103,6 +84,6 @@ def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> int:
         (
             (*key, fact.kind, fact.key, count)
             for key in sorted(vectors)
-            for fact, count in sorted(vectors[key].counts.items(), key=lambda kv: kv[0].key)
+            for fact, count in sorted(vectors[key].items(), key=lambda kv: kv[0].key)
         ),
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -187,22 +188,28 @@ def load_roster(lines: Iterable[str]) -> dict[str, str]:
 
 
 def parse_timestamp(value) -> float:
-    """Epoch seconds from an int/float, a numeric string, or ISO-8601."""
+    """Finite epoch seconds from an int/float, a numeric string, or ISO-8601."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("timestamp out of range") from None
+    elif isinstance(value, str):
         s = value.strip()
         try:
-            return float(s)
+            seconds = float(s)
         except ValueError:
-            pass
-        if s.endswith(("Z", "z")):
-            s = s[:-1] + "+00:00"
-        dt = datetime.fromisoformat(s)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return dt.timestamp()
-    raise ValueError(f"unparseable timestamp: {value!r}")
+            if s.endswith(("Z", "z")):
+                s = s[:-1] + "+00:00"
+            dt = datetime.fromisoformat(s)
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            seconds = dt.timestamp()
+    else:
+        raise ValueError(f"unparseable timestamp: {value!r}")
+    if not math.isfinite(seconds):
+        raise ValueError(f"non-finite timestamp: {value!r}")
+    return seconds
 
 
 @dataclass
@@ -242,7 +249,7 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
 
 
 def load_corpus(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     roster: dict[str, str],
     window: tuple[float, float],
     restrict_to_roster: bool = True,
@@ -256,6 +263,9 @@ def load_corpus(
     exactly one skip reason, so
 
         records_read == distinct emitted record ids + skipped_total
+
+    Lines may be bytes: each is decoded as UTF-8 on its own, a leading byte
+    order mark is dropped, and a line that does not decode is malformed.
     """
     start, end = window
     result = IngestResult()
@@ -269,13 +279,21 @@ def load_corpus(
         result.records_read += 1
 
         try:
+            if isinstance(stripped, bytes):
+                stripped = stripped.decode("utf-8").removeprefix("\ufeff")
             rec = json.loads(stripped)
             if not isinstance(rec, dict):
                 raise ValueError("record is not an object")
-            rec_id = str(rec["id"])
-            author = normalize_handle(str(rec["user"]))
+            rec_id, user = rec["id"], rec["user"]
+            if isinstance(rec_id, bool) or not isinstance(rec_id, (str, int)):
+                raise ValueError(f"id must be a string or an integer, got {rec_id!r}")
+            if not isinstance(user, str):
+                raise ValueError(f"user must be a string, got {user!r}")
+            rec_id = str(rec_id)
+            author = normalize_handle(user)
             ts = parse_timestamp(rec["timestamp"])
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        except (KeyError, ValueError, RecursionError) as exc:
             result.skipped["malformed"] += 1
             result.malformed_lines.append((line_no, str(exc)))
             logger.debug("line %d malformed: %s", line_no, exc)

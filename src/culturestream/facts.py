@@ -31,55 +31,18 @@ P1_CLAMP_EPS = 1e-9
 INSTITUTIONNESS_VARIANTS = ("literal", "normalized")
 
 
-@dataclass
-class FactSeries:
-    """Weekly reference counts of one fact against its group's totals."""
-
-    group: str
-    practice: str
-    fact: Fact
-    r: list[int]  # references to this fact per window
-    d: list[int]  # the group's total references per window, practice-wide
-
-    def __post_init__(self):
-        if len(self.r) != len(self.d):
-            raise ValueError("r and d must have equal length")
-        for rt, dt in zip(self.r, self.d):
-            if not (0 <= rt <= dt):
-                raise ValueError("need 0 <= r_t <= d_t in every window")
-
-
-@dataclass
-class BurstEpisode:
-    """Maximal interval of elevated activity for one fact."""
-
-    fact: Fact
-    group: str
-    practice: str
-    onset: int
-    end: int
-    weight: float
-    normalized: Optional[float] = None
-
-
-@dataclass
-class InstitutionnessScore:
-    fact: Fact
-    group: str
-    practice: str
-    value: int
-
-
 def collect_fact_series(
     vectors: dict[VectorKey, CultureVector],
     spec: WindowSpec,
     group: str,
     practice: str,
-) -> list[FactSeries]:
-    """Build per-fact series for one group, sharing the group's d_t vector.
+) -> tuple[list[int], dict[Fact, list[int]]]:
+    """One group's (d, {fact: r}) in fact-key order.
 
-    d_t counts fact references (tokens), not messages, so r_t <= d_t holds
-    even for multi-fact messages.
+    r_t counts references to the fact per window and d_t the group's total
+    references per window, practice-wide, shared by all its facts.  d_t
+    counts fact references (tokens), not messages, so r_t <= d_t holds even
+    for multi-fact messages.
     """
     d = [0] * spec.count
     per_fact: dict[Fact, list[int]] = {}
@@ -87,13 +50,10 @@ def collect_fact_series(
         vec = vectors.get((group, w, practice))
         if vec is None:
             continue
-        d[w - 1] = vec.total
-        for fact, count in vec.counts.items():
+        d[w - 1] = sum(vec.values())
+        for fact, count in vec.items():
             per_fact.setdefault(fact, [0] * spec.count)[w - 1] = count
-    return [
-        FactSeries(group, practice, fact, r, list(d))
-        for fact, r in sorted(per_fact.items(), key=lambda kv: kv[0].key)
-    ]
+    return d, dict(sorted(per_fact.items(), key=lambda kv: kv[0].key))
 
 
 def avg_rate(
@@ -109,8 +69,8 @@ def avg_rate(
     for (group, window, prac), vec in vectors.items():
         if prac != practice:
             continue
-        totals[window - 1] += vec.total
-        facts_seen[window - 1].update(vec.counts)
+        totals[window - 1] += sum(vec.values())
+        facts_seen[window - 1].update(vec)
     return [
         (totals[i] / len(facts_seen[i])) if facts_seen[i] else None
         for i in range(spec.count)
@@ -140,21 +100,21 @@ def institutionness_value(
     return 0
 
 
-def burst_costs(series: FactSeries) -> list[tuple[float, float]]:
+def burst_costs(r: Sequence[int], d: Sequence[int]) -> list[tuple[float, float]]:
     """Per-window (cost in base state, cost in burst state).
 
     Costs are negative log binomial likelihoods evaluated in log domain
     (log-gamma for the coefficient).  Windows with d_t = 0 cost nothing in
     either state.  Requires at least one reference overall.
     """
-    total_d = sum(series.d)
-    total_r = sum(series.r)
+    total_d = sum(d)
+    total_r = sum(r)
     if total_d <= 0 or total_r <= 0:
         raise ValueError("burst costs need R > 0 and D > 0")
     p0 = total_r / total_d
     p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
     costs = []
-    for rt, dt in zip(series.r, series.d):
+    for rt, dt in zip(r, d):
         if dt == 0:
             costs.append((0.0, 0.0))
             continue
@@ -172,22 +132,22 @@ def _state_cost(ln_choose: float, rt: int, dt: int, ps: float) -> float:
     return -cost
 
 
-def burst_improvements(series: FactSeries) -> list[float]:
+def burst_improvements(r: Sequence[int], d: Sequence[int]) -> list[float]:
     """Per-window cost improvement of the burst state (positive = bursting)."""
-    return [g0 - g1 for g0, g1 in burst_costs(series)]
+    return [g0 - g1 for g0, g1 in burst_costs(r, d)]
 
 
-def improvement_closed_form(series: FactSeries) -> list[float]:
+def improvement_closed_form(r: Sequence[int], d: Sequence[int]) -> list[float]:
     """Independent route to the improvements: the binomial coefficients cancel,
     leaving r_t * ln(p1/p0) + (d_t - r_t) * ln((1-p1)/(1-p0))."""
-    total_d = sum(series.d)
-    total_r = sum(series.r)
+    total_d = sum(d)
+    total_r = sum(r)
     if total_d <= 0 or total_r <= 0:
         raise ValueError("burst costs need R > 0 and D > 0")
     p0 = total_r / total_d
     p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
     out = []
-    for rt, dt in zip(series.r, series.d):
+    for rt, dt in zip(r, d):
         if dt == 0:
             out.append(0.0)
             continue
@@ -200,51 +160,28 @@ def improvement_closed_form(series: FactSeries) -> list[float]:
     return out
 
 
-def burst_episodes(series: FactSeries) -> list[BurstEpisode]:
-    """Maximal runs of consecutive windows with positive improvement.
+def burst_episodes(r: Sequence[int], d: Sequence[int]) -> list[tuple[int, int, float]]:
+    """(onset, end, weight) of each maximal run of windows with positive improvement.
 
-    A fact can burst multiple times; a fact with no references has no
+    Windows are 1-based and the weight is the run's summed improvement.  A
+    fact can burst multiple times; a fact with no references has no
     episodes.
     """
-    if sum(series.r) == 0:
+    if sum(r) == 0:
         return []
-    improvements = burst_improvements(series)
     episodes = []
     onset = None
     weight = 0.0
-    for idx, imp in enumerate(improvements):
+    # A trailing 0.0 closes a run that lasts to the last window.
+    for idx, imp in enumerate(burst_improvements(r, d) + [0.0]):
         if imp > 0:
             if onset is None:
                 onset = idx + 1
                 weight = 0.0
             weight += imp
         elif onset is not None:
-            episodes.append(
-                BurstEpisode(series.fact, series.group, series.practice, onset, idx, weight)
-            )
+            episodes.append((onset, idx, weight))
             onset = None
-    if onset is not None:
-        episodes.append(
-            BurstEpisode(
-                series.fact, series.group, series.practice, onset, len(improvements), weight
-            )
-        )
-    return episodes
-
-
-def normalize_bursts(episodes: list[BurstEpisode]) -> list[BurstEpisode]:
-    """Scale one (group, practice) scope's episode weights by the maximum.
-
-    The strongest episode gets normalized weight exactly 1.0 (ties share it).
-    """
-    if not episodes:
-        return []
-    scopes = {(e.group, e.practice) for e in episodes}
-    if len(scopes) != 1:
-        raise ValueError("normalize_bursts expects a single (group, practice) scope")
-    top = max(e.weight for e in episodes)
-    for e in episodes:
-        e.normalized = e.weight / top if top > 0 else 0.0
     return episodes
 
 
@@ -259,6 +196,19 @@ class FactMeasureRow:
     burstiness: float
     onset: Optional[int]
     end: Optional[int]
+
+
+def normalize_bursts(rows: list[FactMeasureRow]) -> list[FactMeasureRow]:
+    """Rescale one group's burstiness from episode weight to weight / strongest weight.
+
+    The strongest episode gets exactly 1.0 (ties share it); episode-free rows
+    stay at 0.
+    """
+    top = max((row.burstiness for row in rows), default=0.0)
+    if top > 0:
+        for row in rows:
+            row.burstiness /= top
+    return rows
 
 
 def fact_measures(
@@ -276,30 +226,18 @@ def fact_measures(
     h0 = avg_rate(vectors, spec, practice)
     rows: list[FactMeasureRow] = []
     for group in groups:
-        series_list = collect_fact_series(vectors, spec, group, practice)
-        episodes: list[BurstEpisode] = []
-        scores: dict[Fact, int] = {}
-        episodes_by_fact: dict[Fact, list[BurstEpisode]] = {}
-        for series in series_list:
-            scores[series.fact] = institutionness_value(series.r, h0, variant)
-            eps = burst_episodes(series)
-            episodes.extend(eps)
-            if eps:
-                episodes_by_fact[series.fact] = eps
-        if episodes:
-            normalize_bursts(episodes)
-        for series in series_list:
-            score = scores[series.fact]
-            eps = episodes_by_fact.get(series.fact, [])
-            if eps:
-                for e in eps:
-                    rows.append(
-                        FactMeasureRow(
-                            group, practice, series.fact, score, e.normalized, e.onset, e.end
-                        )
-                    )
-            elif score > 0:
-                rows.append(FactMeasureRow(group, practice, series.fact, score, 0.0, None, None))
+        d, series = collect_fact_series(vectors, spec, group, practice)
+        group_rows: list[FactMeasureRow] = []
+        for fact, r in series.items():
+            score = institutionness_value(r, h0, variant)
+            episodes = burst_episodes(r, d)
+            group_rows += (
+                FactMeasureRow(group, practice, fact, score, weight, onset, end)
+                for onset, end, weight in episodes
+            )
+            if score > 0 and not episodes:
+                group_rows.append(FactMeasureRow(group, practice, fact, score, 0.0, None, None))
+        rows += normalize_bursts(group_rows)
     return rows
 
 

@@ -18,41 +18,19 @@ Plus a frequency series (total references per window) and AVERAGE series
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .binning import CultureVector, RankedVector, VectorKey, WindowSpec, rank_vector
+from .binning import CultureVector, VectorKey, WindowSpec, rank_vector
 from .corpus import fmt, write_csv
 
 AVERAGE = "AVERAGE"
 
 MEASURES = ("focus", "similarity", "reproduction", "frequency")
 
-
-@dataclass(frozen=True)
-class RboParams:
-    """Persistence parameter of rank-biased overlap, in [0, 1)."""
-
-    p: float = 0.9
-
-    def __post_init__(self):
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError("rbo persistence must be in [0, 1)")
-
-
-@dataclass
-class MeasureSeries:
-    """Time series of one measure for one group (or the AVERAGE pseudo-group).
-
-    points holds (window, value) with value None where the underlying
-    group-window vector is absent; sd is populated for AVERAGE only.
-    """
-
-    measure: str
-    practice: str
-    group: str
-    points: list[tuple[int, Optional[float]]] = field(default_factory=list)
-    sd: Optional[list[tuple[int, Optional[float]]]] = None
+# One group's series: (window, value), value None where the group-window
+# vector is absent; the AVERAGE series: (window, mean, sd).
+Series = list[tuple[int, Optional[float]]]
+Average = list[tuple[int, Optional[float], Optional[float]]]
 
 
 def focus(vector: CultureVector) -> float:
@@ -61,14 +39,14 @@ def focus(vector: CultureVector) -> float:
     A single-fact vector has maximal focus 1 by definition (the normalizer
     log2(1) vanishes).
     """
-    n = len(vector.counts)
+    n = len(vector)
     if n == 0:
         raise ValueError("empty culture")
     if n == 1:
         return 1.0
-    total = vector.total
+    total = sum(vector.values())
     entropy = 0.0
-    for count in vector.counts.values():
+    for count in vector.values():
         p = count / total
         entropy -= p * math.log2(p)
     return 1.0 - entropy / math.log2(n)
@@ -76,40 +54,26 @@ def focus(vector: CultureVector) -> float:
 
 def pair_similarity(v_i: CultureVector, v_j: CultureVector) -> float:
     """Cosine of two count vectors aligned on the union of their facts."""
-    if not v_i.counts or not v_j.counts:
+    if not v_i or not v_j:
         return 0.0
     dot = 0.0
-    for fact, count in v_i.counts.items():
-        other = v_j.counts.get(fact)
+    for fact, count in v_i.items():
+        other = v_j.get(fact)
         if other:
             dot += count * other
     if dot == 0.0:
         return 0.0
-    norm_i = math.sqrt(sum(c * c for c in v_i.counts.values()))
-    norm_j = math.sqrt(sum(c * c for c in v_j.counts.values()))
+    norm_i = math.sqrt(sum(c * c for c in v_i.values()))
+    norm_j = math.sqrt(sum(c * c for c in v_j.values()))
     return dot / (norm_i * norm_j)
 
 
-def group_similarity(
-    group: str,
-    window: int,
-    practice: str,
-    vectors: dict[VectorKey, CultureVector],
-) -> Optional[float]:
-    """Unweighted mean cosine of one group against all other active groups.
+def group_similarity(own: CultureVector, others: Sequence[CultureVector]) -> Optional[float]:
+    """Unweighted mean cosine of one group's vector against the other active groups'.
 
-    None when the group itself is inactive in the window or no other group
-    is active (scores are deliberately not weighted by group size or
-    volume).
+    None when no other group is active (scores are deliberately not weighted
+    by group size or volume).
     """
-    own = vectors.get((group, window, practice))
-    if own is None:
-        return None
-    others = [
-        vec
-        for (g, w, p), vec in vectors.items()
-        if w == window and p == practice and g != group
-    ]
     if not others:
         return None
     return sum(pair_similarity(own, vec) for vec in others) / len(others)
@@ -151,11 +115,9 @@ def rbo_extended(keys1: Sequence, keys2: Sequence, p: float) -> float:
     return (1.0 - p) * convergent + agreement * p**depth
 
 
-def reproduction(
-    v_t1: RankedVector, v_t2: RankedVector, params: RboParams = RboParams()
-) -> float:
-    """Rank-biased overlap of two consecutive ranked culture vectors."""
-    return rbo_extended([f for f, _ in v_t1], [f for f, _ in v_t2], params.p)
+def reproduction(v_t1: CultureVector, v_t2: CultureVector, p: float) -> float:
+    """Rank-biased overlap, at persistence p, of two consecutive culture vectors' rankings."""
+    return rbo_extended(rank_vector(v_t1), rank_vector(v_t2), p)
 
 
 def build_series(
@@ -164,8 +126,8 @@ def build_series(
     practice: str,
     groups: Sequence[str],
     measure: str,
-    rbo: RboParams = RboParams(),
-) -> dict[str, MeasureSeries]:
+    rbo_p: float = 0.9,
+) -> dict[str, Series]:
     """Per-group series of one measure across the whole window grid.
 
     focus/similarity/frequency cover windows 1..count; reproduction covers
@@ -173,75 +135,67 @@ def build_series(
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    out: dict[str, MeasureSeries] = {}
+    by_window: dict[int, list[tuple[str, CultureVector]]] = {}
+    if measure == "similarity":
+        for (g, w, p), vec in vectors.items():
+            if p == practice:
+                by_window.setdefault(w, []).append((g, vec))
+    out: dict[str, Series] = {}
     for group in groups:
-        series = MeasureSeries(measure, practice, group)
+        cells = [vectors.get((group, w, practice)) for w in range(1, spec.count + 1)]
         if measure == "reproduction":
-            for w in range(2, spec.count + 1):
-                prev = vectors.get((group, w - 1, practice))
-                curr = vectors.get((group, w, practice))
-                if prev is None or curr is None:
-                    series.points.append((w, None))
-                else:
-                    series.points.append(
-                        (w, reproduction(rank_vector(prev), rank_vector(curr), rbo))
-                    )
-        else:
-            for w in range(1, spec.count + 1):
-                vec = vectors.get((group, w, practice))
-                if measure == "similarity":
-                    series.points.append((w, group_similarity(group, w, practice, vectors)))
-                elif vec is None:
-                    series.points.append((w, None))
-                elif measure == "focus":
-                    series.points.append((w, focus(vec)))
-                else:  # frequency
-                    series.points.append((w, float(vec.total)))
-        out[group] = series
+            out[group] = [
+                (w, None if prev is None or curr is None else reproduction(prev, curr, rbo_p))
+                for w, prev, curr in zip(range(2, spec.count + 1), cells, cells[1:])
+            ]
+            continue
+        points: Series = []
+        for w, vec in enumerate(cells, 1):
+            if vec is None:
+                value = None
+            elif measure == "similarity":
+                value = group_similarity(vec, [v for g, v in by_window[w] if g != group])
+            elif measure == "focus":
+                value = focus(vec)
+            else:  # frequency
+                value = float(sum(vec.values()))
+            points.append((w, value))
+        out[group] = points
     return out
 
 
-def average_series(series_by_group: dict[str, MeasureSeries]) -> MeasureSeries:
-    """Unweighted per-window mean over non-null group values.
+def average_series(series_by_group: dict[str, Series]) -> Average:
+    """Per window: (window, unweighted mean, population sd) over non-null group values.
 
     Null group-window points are skipped, not zero-filled: a silent group
-    carries no signal.  Dispersion is the population standard deviation over
-    the same values.
+    carries no signal.  Both are None where no group has a value.
     """
-    groups = list(series_by_group.values())
-    if not groups:
+    if not series_by_group:
         raise ValueError("no group series to average")
-    first = groups[0]
-    avg = MeasureSeries(first.measure, first.practice, AVERAGE, sd=[])
-    for idx, (window, _) in enumerate(first.points):
-        values = [
-            s.points[idx][1] for s in groups if s.points[idx][1] is not None
-        ]
+    out = []
+    for column in zip(*series_by_group.values()):
+        values = [v for _, v in column if v is not None]
         if not values:
-            avg.points.append((window, None))
-            avg.sd.append((window, None))
+            out.append((column[0][0], None, None))
             continue
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / len(values)
-        avg.points.append((window, mean))
-        avg.sd.append((window, math.sqrt(variance)))
-    return avg
+        out.append((column[0][0], mean, math.sqrt(variance)))
+    return out
 
 
 def write_series_csv(
-    series_by_group: dict[str, MeasureSeries],
-    average: Optional[MeasureSeries],
+    series_by_group: dict[str, Series],
+    average: Optional[Average],
     path,
 ) -> int:
     """Export one measure as ``group,window,value,sd`` (sd filled for AVERAGE)."""
 
     def rows():
         for group in sorted(series_by_group):
-            for window, value in series_by_group[group].points:
+            for window, value in series_by_group[group]:
                 yield group, window, fmt(value), ""
-        if average is not None:
-            sd_map = dict(average.sd or [])
-            for window, value in average.points:
-                yield AVERAGE, window, fmt(value), fmt(sd_map.get(window))
+        for window, mean, sd in average or ():
+            yield AVERAGE, window, fmt(mean), fmt(sd)
 
     return write_csv(path, ["group", "window", "value", "sd"], rows())

@@ -36,8 +36,7 @@ from .corpus import (
     write_ingest_report,
     write_transactions_jsonl,
 )
-from .errors import ConfigError
-from .measures import RboParams
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -183,6 +182,9 @@ def parse_config_file(path) -> dict[str, str]:
 
 def build_run_config(values: dict[str, str]) -> RunConfig:
     """Typed RunConfig from merged string settings (file values + flags)."""
+    unknown = sorted(set(values) - {s.metadata["key"] for s in SETTINGS})
+    if unknown:
+        raise ConfigError(f"unknown settings: {', '.join(unknown)}")
     required = [s.metadata["key"] for s in SETTINGS
                 if s.default is MISSING and s.default_factory is MISSING]
     missing = [key for key in required if not values.get(key)]
@@ -226,12 +228,17 @@ def _load(config: RunConfig):
     """Validate, read the roster and corpus, and make the output directory.
 
     Nothing is written before the configuration validates and both inputs
-    have been read.  Returns (roster, ingest result, output directory).
+    have been read.  The corpus is read as bytes and each line decoded on its
+    own, so a byte order mark is ignored and a line that is not UTF-8 counts
+    as malformed.  Returns (roster, ingest result, output directory).
     """
     config.validate()
     with open(config.roster, encoding="utf-8-sig") as fh:
         roster = load_roster(fh)
-    with open(config.corpus, encoding="utf-8") as fh:
+    reserved = sorted(set(roster.values()) & {measures.AVERAGE, network.TOTAL})
+    if reserved:
+        raise DataError(f"roster group names reserved for the output: {', '.join(reserved)}")
+    with open(config.corpus, "rb") as fh:
         ingest = load_corpus(
             fh,
             roster,
@@ -271,7 +278,6 @@ def run_pipeline(
 
     artifacts: dict[str, int] = {}
     status: dict[str, str] = {}
-    rbo = RboParams(config.rbo_p)
 
     def emit(name: str, writer, *args) -> None:
         artifacts[name] = writer(*args, out / name)
@@ -292,7 +298,7 @@ def run_pipeline(
             if "series" in stages:
                 for measure in measures.MEASURES:
                     per_group = measures.build_series(
-                        vectors, spec, practice, groups, measure, rbo
+                        vectors, spec, practice, groups, measure, config.rbo_p
                     )
                     avg = measures.average_series(per_group) if per_group else None
                     emit(f"{measure}_{practice}.csv", measures.write_series_csv, per_group, avg)

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 from . import facts, measures, synth
 from .binning import CultureVector, WindowSpec, bin_transactions, rank_vector
 from .corpus import Fact, load_corpus
-from .facts import FactSeries
 
 # Hand-computed reference values (see the matching checks for the arithmetic).
 FOCUS_3_1 = 0.18872187554086717
@@ -33,8 +32,8 @@ def _tag(key: str) -> Fact:
     return Fact("hashtag", key)
 
 
-def _vector(counts: dict[str, int], group="G", window=1, practice="tagging") -> CultureVector:
-    return CultureVector(group, window, practice, {_tag(k): c for k, c in counts.items()})
+def _vector(counts: dict[str, int]) -> CultureVector:
+    return {_tag(k): c for k, c in counts.items()}
 
 
 def _approx(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -81,8 +80,11 @@ def check_similarity_known_pair() -> None:
 
 
 def check_similarity_needs_other_groups() -> None:
+    spec = WindowSpec(epoch=0.0, count=1, width=1.0)
     vectors = {("G", 1, "tagging"): _vector({"a": 1})}
-    assert measures.group_similarity("G", 1, "tagging", vectors) is None
+    assert measures.build_series(vectors, spec, "tagging", ["G"], "similarity") == {
+        "G": [(1, None)]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def check_rbo_top_depth_mass() -> None:
 
 def check_rbo_ranking_tie_break() -> None:
     ranked = rank_vector(_vector({"b": 2, "a": 2, "c": 1}))
-    assert [f.key for f, _ in ranked] == ["a", "b", "c"], ranked
+    assert [f.key for f in ranked] == ["a", "b", "c"], ranked
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +166,22 @@ def check_week_rate_known() -> None:
 # burstiness
 
 
+def _normalized_rows(r, d) -> list[facts.FactMeasureRow]:
+    """One fact's episode rows, normalized as a group of their own."""
+    return facts.normalize_bursts([
+        facts.FactMeasureRow("G", "tagging", _tag("a"), 0, weight, onset, end)
+        for onset, end, weight in facts.burst_episodes(r, d)
+    ])
+
+
 def check_burst_known_weight() -> None:
     # r=(1,5), d=(10,10): p0=0.3, p1=0.6.  Window 2 improvement is
     # 5 ln 2 + 5 ln(4/7) = 0.667657; window 1 is negative.
-    series = FactSeries("G", "tagging", _tag("a"), [1, 5], [10, 10])
-    episodes = facts.burst_episodes(series)
+    episodes = facts.burst_episodes([1, 5], [10, 10])
     assert len(episodes) == 1, episodes
-    ep = episodes[0]
-    assert (ep.onset, ep.end) == (2, 2), (ep.onset, ep.end)
-    assert _approx(ep.weight, BURST_WEIGHT_1_5, 1e-9), ep.weight
+    onset, end, weight = episodes[0]
+    assert (onset, end) == (2, 2), (onset, end)
+    assert _approx(weight, BURST_WEIGHT_1_5, 1e-9), weight
 
 
 def check_burst_cost_routes_agree() -> None:
@@ -182,9 +191,8 @@ def check_burst_cost_routes_agree() -> None:
         r = [rng.randint(0, dt) for dt in d]
         if sum(r) == 0:
             r[0] = d[0] = max(d[0], 1)
-        series = FactSeries("G", "tagging", _tag("a"), r, d)
-        via_costs = facts.burst_improvements(series)
-        closed = facts.improvement_closed_form(series)
+        via_costs = facts.burst_improvements(r, d)
+        closed = facts.improvement_closed_form(r, d)
         for a, b in zip(via_costs, closed):
             assert _approx(a, b, 1e-9), (r, d, a, b)
 
@@ -193,29 +201,27 @@ def check_burst_episode_segmentation() -> None:
     # r=(3,3,0,3), d=(10,10,40,10): windows 1, 2, 4 improve, window 3 does
     # not, so the episodes are [1,2] and [4,4] and the first weighs twice
     # the second.
-    series = FactSeries("G", "tagging", _tag("a"), [3, 3, 0, 3], [10, 10, 40, 10])
-    episodes = facts.normalize_bursts(facts.burst_episodes(series))
-    spans = [(e.onset, e.end) for e in episodes]
+    rows = _normalized_rows([3, 3, 0, 3], [10, 10, 40, 10])
+    spans = [(row.onset, row.end) for row in rows]
     assert spans == [(1, 2), (4, 4)], spans
-    assert episodes[0].normalized == 1.0
-    assert episodes[1].normalized == 0.5, episodes[1].normalized
+    assert rows[0].burstiness == 1.0
+    assert rows[1].burstiness == 0.5, rows[1].burstiness
 
 
 def check_burst_zero_week_splits_episodes() -> None:
     # A week with no activity at all is neutral (cost 0 in both states) and
     # therefore breaks a run: r=(6,0,6,0), d=(10,0,10,40) yields [1,1] and
     # [3,3], not [1,3].
-    series = FactSeries("G", "tagging", _tag("a"), [6, 0, 6, 0], [10, 0, 10, 40])
-    g0, g1 = facts.burst_costs(series)[1]
+    r, d = [6, 0, 6, 0], [10, 0, 10, 40]
+    g0, g1 = facts.burst_costs(r, d)[1]
     assert (g0, g1) == (0.0, 0.0)
-    spans = [(e.onset, e.end) for e in facts.burst_episodes(series)]
+    spans = [(onset, end) for onset, end, _ in facts.burst_episodes(r, d)]
     assert spans == [(1, 1), (3, 3)], spans
 
 
 def check_burst_normalization_strongest_is_one() -> None:
-    series = FactSeries("G", "tagging", _tag("a"), [3, 3, 0, 3], [10, 10, 40, 10])
-    episodes = facts.normalize_bursts(facts.burst_episodes(series))
-    assert max(e.normalized for e in episodes) == 1.0
+    rows = _normalized_rows([3, 3, 0, 3], [10, 10, 40, 10])
+    assert max(row.burstiness for row in rows) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ import time
 
 import pytest
 
-from culturestream.binning import CultureVector, WindowSpec, bin_transactions, rank_vector
+from culturestream.binning import WindowSpec, bin_transactions, rank_vector
 from culturestream.corpus import Fact, load_corpus, load_roster
 from culturestream.facts import (
-    FactSeries,
     burst_improvements,
     fact_measures,
     improvement_closed_form,
@@ -32,9 +31,8 @@ from culturestream.pipeline import build_run_config, parse_config_file, run_pipe
 from culturestream.synth import BurstInjection, SynthConfig, generate
 
 
-def _vec(counts, group="A", window=1, practice="tagging"):
-    return CultureVector(group, window, practice,
-                         {Fact("hashtag", k): c for k, c in counts.items()})
+def _vec(counts):
+    return {Fact("hashtag", k): c for k, c in counts.items()}
 
 
 # --- 1. measure bounds and identities on randomized vectors ----------------
@@ -53,8 +51,8 @@ def test_measure_bounds_and_identities_on_random_vectors():
     for left, right in zip(vectors, vectors[1:]):
         assert 0.0 <= pair_similarity(left, right) <= 1.0 + 1e-12
         r = rbo_extended(
-            [f.key for f, _ in rank_vector(left)],
-            [f.key for f, _ in rank_vector(right)],
+            [f.key for f in rank_vector(left)],
+            [f.key for f in rank_vector(right)],
             0.9,
         )
         assert 0.0 <= r <= 1.0 + 1e-12
@@ -63,7 +61,7 @@ def test_measure_bounds_and_identities_on_random_vectors():
     assert focus(_vec({"a": 4, "b": 4, "c": 4, "d": 4})) == pytest.approx(0.0, abs=1e-12)
     some = vectors[0]
     assert pair_similarity(some, some) == pytest.approx(1.0, abs=1e-12)
-    keys = [f.key for f, _ in rank_vector(some)]
+    keys = [f.key for f in rank_vector(some)]
     assert rbo_extended(keys, keys, 0.9) == pytest.approx(1.0, abs=1e-12)
     assert rbo_extended(["a", "b"], ["c", "d"], 0.9) == 0.0
 
@@ -94,12 +92,12 @@ def test_reproduction_oracle():
 
 
 def test_burst_improvement_oracle_via_both_routes():
-    series = FactSeries("A", "tagging", Fact("hashtag", "x"), [1, 5], [10, 10])
+    r, d = [1, 5], [10, 10]
     # base rate 6/20 doubled to 12/20; the binomial coefficients cancel,
     # leaving 5*ln 2 + 5*ln(4/7) at the spike window
     expected = 5.0 * math.log(2.0) + 5.0 * math.log(4.0 / 7.0)
-    via_log_gamma = burst_improvements(series)[1]
-    via_closed_form = improvement_closed_form(series)[1]
+    via_log_gamma = burst_improvements(r, d)[1]
+    via_closed_form = improvement_closed_form(r, d)[1]
     assert via_log_gamma == pytest.approx(expected, abs=1e-12)
     assert via_closed_form == pytest.approx(expected, abs=1e-12)
     assert via_log_gamma == pytest.approx(0.6675, abs=1e-3)
@@ -239,7 +237,7 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
         len(t.facts) for t in ingest.transactions if spec.index_of(t.timestamp) is not None
     )
     assert dropped == 0
-    assert sum(vec.total for vec in vectors.values()) == emitted_pairs
+    assert sum(sum(vec.values()) for vec in vectors.values()) == emitted_pairs
 
     for practice in ("retweeting", "mentioning"):
         graph = build_graph(ingest.transactions, practice, roster)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from culturestream.corpus import (
     IngestResult,
@@ -117,6 +119,15 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp(None)
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), "nan", "-inf", "1e999", 10**400],
+        ids=["nan", "inf", "-inf", "nan-string", "-inf-string", "1e999-string", "10**400"],
+    )
+    def test_non_finite_and_out_of_range_rejected(self, value):
+        with pytest.raises(ValueError):
+            parse_timestamp(value)
+
 
 def _raw(rec_id, user, ts, text):
     return json.dumps({"id": rec_id, "user": user, "timestamp": ts, "text": text})
@@ -199,6 +210,83 @@ class TestLoadCorpus:
     def test_blank_lines_not_counted(self, small_roster):
         result = load_corpus(["", "  ", _raw("a", "alice", 1, "#x")], small_roster, SPAN)
         assert result.records_read == 1
+
+
+class TestHostileLines:
+    """Each defective line counts as one malformed record; none stops the run."""
+
+    def _load(self, lines, roster):
+        result = load_corpus(lines, roster, SPAN)
+        assert result.records_read == len({t.id for t in result.transactions}) + (
+            result.skipped_total
+        )
+        return result
+
+    def test_non_utf8_line_is_malformed(self, small_roster):
+        lines = [b"\xff\n", _raw("a", "alice", 1, "#x").encode() + b"\n"]
+        result = self._load(lines, small_roster)
+        assert result.skipped["malformed"] == 1
+        assert [t.id for t in result.transactions] == ["a"]
+
+    def test_byte_order_mark_on_first_line_is_dropped(self, small_roster):
+        lines = [b"\xef\xbb\xbf" + _raw("a", "alice", 1, "#x").encode() + b"\n"]
+        result = self._load(lines, small_roster)
+        assert result.skipped["malformed"] == 0
+        assert [t.id for t in result.transactions] == ["a"]
+
+    def test_null_or_mistyped_id_and_user_are_malformed(self, small_roster):
+        roster = dict(small_roster, none="A", true="A")
+        lines = [
+            _raw(None, "alice", 1, "#x"),
+            _raw("a", None, 1, "#x"),
+            _raw(True, "alice", 1, "#x"),
+            _raw(1.5, "alice", 1, "#x"),
+            _raw("b", True, 1, "#x"),
+            _raw(7, "bob", 1, "#x"),
+        ]
+        result = self._load(lines, roster)
+        assert result.skipped["malformed"] == 5
+        assert [(t.id, t.author) for t in result.transactions] == [("7", "bob")]
+
+    def test_non_finite_timestamps_are_malformed(self, small_roster):
+        lines = [
+            '{"id": "a", "user": "alice", "timestamp": NaN, "text": "#x"}',
+            '{"id": "b", "user": "alice", "timestamp": Infinity, "text": "#x"}',
+            _raw("c", "alice", "-inf", "#x"),
+            '{"id": "d", "user": "alice", "timestamp": 1' + "0" * 400 + ', "text": "#x"}',
+        ]
+        result = self._load(lines, small_roster)
+        assert result.skipped["malformed"] == 4
+        assert result.skipped["outside_window"] == 0
+
+    def test_deeply_nested_line_is_malformed(self, small_roster):
+        result = self._load(["[" * 100_000, _raw("a", "alice", 1, "#x")], small_roster)
+        assert result.skipped["malformed"] == 1
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=60),
+                st.builds(
+                    lambda v, w: json.dumps(
+                        {"id": v, "user": w, "timestamp": v, "text": "#x"}, allow_nan=True
+                    ).encode(),
+                    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                              st.text(max_size=8)),
+                    st.one_of(st.none(), st.sampled_from(["alice", "carol"]), st.text(max_size=8)),
+                ),
+            ),
+            max_size=20,
+        )
+    )
+    def test_arbitrary_lines_never_raise(self, lines):
+        self._load(lines, {"alice": "A", "carol": "B"})
+
+    def test_line_blank_only_under_unicode_whitespace_is_malformed(self, small_roster):
+        # Bytes lines are stripped of ASCII whitespace only.
+        result = self._load(["\u3000\n".encode(), b" \t\r\n"], small_roster)
+        assert result.records_read == 1
+        assert result.skipped["malformed"] == 1
 
 
 def test_ingest_report_round_trip(tmp_path):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from culturestream.binning import CultureVector, WindowSpec
+from culturestream.binning import WindowSpec
 from culturestream.corpus import Fact
 from culturestream.facts import (
-    FactSeries,
+    FactMeasureRow,
     avg_rate,
     burst_costs,
     burst_episodes,
@@ -25,27 +25,16 @@ from culturestream.facts import (
 )
 
 
-def _series(r, d, key="x", group="A", practice="tagging"):
-    return FactSeries(group, practice, Fact("hashtag", key), list(r), list(d))
+def _vec(counts):
+    return {Fact("hashtag", k): c for k, c in counts.items()}
 
 
-def _vec(counts, group="A", window=1, practice="tagging"):
-    return CultureVector(group, window, practice,
-                         {Fact("hashtag", k): c for k, c in counts.items()})
-
-
-class TestFactSeries:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            _series([1], [1, 2])
-
-    def test_references_cannot_exceed_total(self):
-        with pytest.raises(ValueError):
-            _series([3], [2])
-
-    def test_negative_references_rejected(self):
-        with pytest.raises(ValueError):
-            _series([-1], [2])
+def _episode_rows(r, d):
+    """One fact's episodes as output rows, burstiness holding the raw weight."""
+    return [
+        FactMeasureRow("A", "tagging", Fact("hashtag", "x"), 0, weight, onset, end)
+        for onset, end, weight in burst_episodes(r, d)
+    ]
 
 
 class TestCollect:
@@ -53,19 +42,34 @@ class TestCollect:
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         vectors = {
             ("A", 1, "tagging"): _vec({"a": 2, "b": 1}),
-            ("A", 3, "tagging"): _vec({"a": 1}, window=3),
-            ("B", 2, "tagging"): _vec({"c": 9}, "B", 2),
+            ("A", 3, "tagging"): _vec({"a": 1}),
+            ("B", 2, "tagging"): _vec({"c": 9}),
         }
-        series = collect_fact_series(vectors, spec, "A", "tagging")
-        assert [s.fact.key for s in series] == ["a", "b"]
-        assert series[0].r == [2, 0, 1]
-        assert series[1].r == [1, 0, 0]
+        d, series = collect_fact_series(vectors, spec, "A", "tagging")
+        assert [f.key for f in series] == ["a", "b"]
+        assert list(series.values()) == [[2, 0, 1], [1, 0, 0]]
         # d covers the whole group's references; silent window 2 stays 0
-        assert series[0].d == series[1].d == [3, 0, 1]
+        assert d == [3, 0, 1]
 
     def test_silent_group_yields_nothing(self):
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
-        assert collect_fact_series({}, spec, "A", "tagging") == []
+        assert collect_fact_series({}, spec, "A", "tagging") == ([0, 0], {})
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from("AB"), st.integers(min_value=1, max_value=4)),
+            st.dictionaries(st.sampled_from("abcde"), st.integers(min_value=1, max_value=9),
+                            min_size=1),
+        )
+    )
+    def test_references_bounded_by_group_totals(self, cells):
+        spec = WindowSpec(epoch=0.0, count=4, width=10.0)
+        vectors = {(g, w, "tagging"): _vec(counts) for (g, w), counts in cells.items()}
+        for group in "AB":
+            d, series = collect_fact_series(vectors, spec, group, "tagging")
+            for t, dt in enumerate(d):
+                assert all(0 <= r[t] <= dt for r in series.values())
+                assert dt == sum(r[t] for r in series.values())
 
 
 class TestAvgRate:
@@ -73,7 +77,7 @@ class TestAvgRate:
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         vectors = {
             ("A", 1, "tagging"): _vec({"a": 3, "b": 1}),
-            ("A", 2, "tagging"): _vec({"a": 4}, window=2),
+            ("A", 2, "tagging"): _vec({"a": 4}),
         }
         assert avg_rate(vectors, spec, "tagging") == [2.0, 4.0, None]
 
@@ -81,8 +85,8 @@ class TestAvgRate:
         spec = WindowSpec(epoch=0.0, count=1, width=10.0)
         vectors = {
             ("A", 1, "tagging"): _vec({"a": 2, "b": 2}),
-            ("B", 1, "tagging"): _vec({"a": 2}, "B"),
-            ("B", 1, "mentioning"): _vec({"zz": 50}, "B", 1, "mentioning"),
+            ("B", 1, "tagging"): _vec({"a": 2}),
+            ("B", 1, "mentioning"): _vec({"zz": 50}),
         }
         # 6 references over 2 distinct facts; the other practice is ignored
         assert avg_rate(vectors, spec, "tagging") == [3.0]
@@ -169,37 +173,32 @@ series_strategy = st.lists(
 class TestBurstCosts:
     def test_known_improvement_at_spike_window(self):
         # base rate 6/20; boosted window: 5*ln 2 + 5*ln(4/7)
-        series = _series([1, 5], [10, 10])
-        improvements = burst_improvements(series)
+        improvements = burst_improvements([1, 5], [10, 10])
         assert improvements[1] == pytest.approx(0.667656963122613, abs=1e-12)
         assert improvements[0] < 0
 
     def test_constant_rate_never_prefers_burst_state(self):
-        series = _series([2, 4, 6], [10, 20, 30])
-        for g0, g1 in burst_costs(series):
+        for g0, g1 in burst_costs([2, 4, 6], [10, 20, 30]):
             assert g0 <= g1 + 1e-12
 
     def test_saturated_series_has_finite_costs(self):
-        series = _series([5, 5], [5, 5])
-        for g0, g1 in burst_costs(series):
+        for g0, g1 in burst_costs([5, 5], [5, 5]):
             assert math.isfinite(g0) and math.isfinite(g1)
 
     def test_empty_window_costs_nothing(self):
-        series = _series([3, 0], [9, 0])
-        assert burst_costs(series)[1] == (0.0, 0.0)
+        assert burst_costs([3, 0], [9, 0])[1] == (0.0, 0.0)
 
     def test_no_references_rejected(self):
         with pytest.raises(ValueError):
-            burst_costs(_series([0, 0], [5, 5]))
+            burst_costs([0, 0], [5, 5])
 
     @given(series_strategy)
     def test_matches_combinatorial_oracle(self, rd):
         r, d = rd
-        series = _series(r, d)
         total_r, total_d = sum(r), sum(d)
         p0 = total_r / total_d
         p1 = min(2.0 * p0, 1.0 - 1e-9)
-        for (g0, g1), rt, dt in zip(burst_costs(series), r, d):
+        for (g0, g1), rt, dt in zip(burst_costs(r, d), r, d):
             if dt == 0:
                 assert (g0, g1) == (0.0, 0.0)
                 continue
@@ -214,44 +213,40 @@ class TestBurstCosts:
     @given(series_strategy)
     def test_closed_form_matches_log_gamma_route(self, rd):
         r, d = rd
-        series = _series(r, d)
-        for via_costs, direct in zip(burst_improvements(series), improvement_closed_form(series)):
+        for via_costs, direct in zip(burst_improvements(r, d), improvement_closed_form(r, d)):
             assert via_costs == pytest.approx(direct, abs=1e-9)
 
 
 class TestEpisodes:
     def test_constant_rate_has_no_episodes(self):
-        assert burst_episodes(_series([2, 2], [10, 10])) == []
+        assert burst_episodes([2, 2], [10, 10]) == []
 
     def test_single_spike_single_episode(self):
-        episodes = burst_episodes(_series([1, 5], [10, 10]))
+        episodes = burst_episodes([1, 5], [10, 10])
         assert len(episodes) == 1
-        assert (episodes[0].onset, episodes[0].end) == (2, 2)
-        assert episodes[0].weight == pytest.approx(0.667656963122613, abs=1e-12)
+        onset, end, weight = episodes[0]
+        assert (onset, end) == (2, 2)
+        assert weight == pytest.approx(0.667656963122613, abs=1e-12)
 
     def test_maximal_runs_split_on_negative_window(self):
-        episodes = burst_episodes(_series([3, 3, 0, 3], [10, 10, 40, 10]))
-        assert [(e.onset, e.end) for e in episodes] == [(1, 2), (4, 4)]
+        episodes = burst_episodes([3, 3, 0, 3], [10, 10, 40, 10])
+        assert [(onset, end) for onset, end, _ in episodes] == [(1, 2), (4, 4)]
 
     def test_zero_volume_window_splits_runs(self):
-        episodes = burst_episodes(_series([6, 0, 6, 0], [10, 0, 10, 40]))
-        assert [(e.onset, e.end) for e in episodes] == [(1, 1), (3, 3)]
+        episodes = burst_episodes([6, 0, 6, 0], [10, 0, 10, 40])
+        assert [(onset, end) for onset, end, _ in episodes] == [(1, 1), (3, 3)]
 
     def test_unreferenced_fact_has_no_episodes(self):
-        assert burst_episodes(_series([0], [0])) == []
+        assert burst_episodes([0], [0]) == []
 
     @given(series_strategy)
     def test_episodes_cover_positive_windows_exactly(self, rd):
         r, d = rd
-        series = _series(r, d)
-        improvements = burst_improvements(series)
-        episodes = burst_episodes(series)
+        improvements = burst_improvements(r, d)
         covered = set()
-        for e in episodes:
-            assert e.weight == pytest.approx(
-                sum(improvements[e.onset - 1 : e.end]), abs=1e-9
-            )
-            for w in range(e.onset, e.end + 1):
+        for onset, end, weight in burst_episodes(r, d):
+            assert weight == pytest.approx(sum(improvements[onset - 1 : end]), abs=1e-9)
+            for w in range(onset, end + 1):
                 assert improvements[w - 1] > 0
                 assert w not in covered
                 covered.add(w)
@@ -262,29 +257,22 @@ class TestEpisodes:
 class TestNormalization:
     def test_strongest_episode_scores_one(self):
         # base rate 9/40; both spikes clear break-even, the 5-spike wins
-        eps = burst_episodes(_series([0, 5, 0, 4], [10, 10, 10, 10]))
-        assert len(eps) == 2
-        normalize_bursts(eps)
-        by_window = {e.onset: e.normalized for e in eps}
+        rows = _episode_rows([0, 5, 0, 4], [10, 10, 10, 10])
+        assert len(rows) == 2
+        normalize_bursts(rows)
+        by_window = {row.onset: row.burstiness for row in rows}
         assert by_window[2] == 1.0
         assert 0.0 < by_window[4] < 1.0
 
     def test_ties_share_the_top(self):
-        eps = burst_episodes(_series([1, 5, 1, 5], [10, 10, 10, 10]))
-        normalize_bursts(eps)
-        assert [e.normalized for e in eps] == [1.0, 1.0]
-
-    def test_mixed_scopes_rejected(self):
-        eps = burst_episodes(_series([1, 5], [10, 10], group="A"))
-        eps += burst_episodes(_series([1, 5], [10, 10], group="B"))
-        with pytest.raises(ValueError):
-            normalize_bursts(eps)
+        rows = normalize_bursts(_episode_rows([1, 5, 1, 5], [10, 10, 10, 10]))
+        assert [row.burstiness for row in rows] == [1.0, 1.0]
 
     def test_argmax_invariant_under_integer_scaling(self):
-        base = _series([1, 5, 1, 3], [10, 10, 10, 10])
-        scaled = _series([3, 15, 3, 9], [30, 30, 30, 30])
-        normalized_base = [e.normalized for e in normalize_bursts(burst_episodes(base))]
-        normalized_scaled = [e.normalized for e in normalize_bursts(burst_episodes(scaled))]
+        base = normalize_bursts(_episode_rows([1, 5, 1, 3], [10, 10, 10, 10]))
+        scaled = normalize_bursts(_episode_rows([3, 15, 3, 9], [30, 30, 30, 30]))
+        normalized_base = [row.burstiness for row in base]
+        normalized_scaled = [row.burstiness for row in scaled]
         assert normalized_scaled == pytest.approx(normalized_base, abs=1e-9)
 
 
@@ -294,9 +282,9 @@ class TestFactMeasures:
         # prefers the burst state; spike jumps from 1 to 9 references
         return {
             ("A", 1, "tagging"): _vec({"steady": 10, "other": 10, "spike": 1}),
-            ("A", 2, "tagging"): _vec({"steady": 10, "other": 10, "spike": 9}, window=2),
-            ("A", 3, "tagging"): _vec({"steady": 10, "other": 10}, window=3),
-            ("B", 1, "tagging"): _vec({"steady": 2}, "B", 1),
+            ("A", 2, "tagging"): _vec({"steady": 10, "other": 10, "spike": 9}),
+            ("A", 3, "tagging"): _vec({"steady": 10, "other": 10}),
+            ("B", 1, "tagging"): _vec({"steady": 2}),
         }
 
     def test_rows_cover_episodes_and_quiet_institutions(self):
@@ -316,9 +304,9 @@ class TestFactMeasures:
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
         vectors = {
             ("A", 1, "tagging"): _vec({"x": 1, "pad": 19}),
-            ("A", 2, "tagging"): _vec({"x": 9, "pad": 11}, window=2),
-            ("B", 1, "tagging"): _vec({"y": 1, "pad": 19}, "B", 1),
-            ("B", 2, "tagging"): _vec({"y": 4, "pad": 16}, "B", 2),
+            ("A", 2, "tagging"): _vec({"x": 9, "pad": 11}),
+            ("B", 1, "tagging"): _vec({"y": 1, "pad": 19}),
+            ("B", 2, "tagging"): _vec({"y": 4, "pad": 16}),
         }
         rows = fact_measures(vectors, spec, ["A", "B"], "tagging")
         tops = {
@@ -332,7 +320,7 @@ def test_fact_csv_golden(tmp_path):
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
     vectors = {
         ("A", 1, "tagging"): _vec({"quiet": 20, "spike": 1}),
-        ("A", 2, "tagging"): _vec({"quiet": 20, "spike": 9}, window=2),
+        ("A", 2, "tagging"): _vec({"quiet": 20, "spike": 9}),
     }
     rows = fact_measures(vectors, spec, ["A"], "tagging")
     path = tmp_path / "facts.csv"

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from culturestream.binning import CultureVector, WindowSpec, rank_vector
+from culturestream.binning import WindowSpec, rank_vector
 from culturestream.corpus import Fact
 from culturestream.measures import (
-    AVERAGE,
-    RboParams,
     average_series,
     build_series,
     focus,
@@ -24,9 +22,8 @@ from culturestream.measures import (
 )
 
 
-def _vec(counts, group="A", window=1, practice="tagging"):
-    return CultureVector(group, window, practice,
-                         {Fact("hashtag", k): c for k, c in counts.items()})
+def _vec(counts):
+    return {Fact("hashtag", k): c for k, c in counts.items()}
 
 
 counts_strategy = st.dictionaries(
@@ -94,26 +91,28 @@ class TestPairSimilarity:
 
 class TestGroupSimilarity:
     def test_mean_over_other_active_groups(self):
-        vectors = {
-            ("A", 1, "tagging"): _vec({"a": 1, "b": 1}, "A"),
-            ("B", 1, "tagging"): _vec({"a": 1}, "B"),
-            ("C", 1, "tagging"): _vec({"c": 4}, "C"),
-        }
+        own = _vec({"a": 1, "b": 1})
+        others = [_vec({"a": 1}), _vec({"c": 4})]
         # mean of cos(A,B)=1/sqrt(2) and cos(A,C)=0
         expected = 0.7071067811865475 / 2
-        assert group_similarity("A", 1, "tagging", vectors) == pytest.approx(expected, abs=1e-12)
+        assert group_similarity(own, others) == pytest.approx(expected, abs=1e-12)
 
     def test_inactive_group_is_none(self):
-        vectors = {("B", 1, "tagging"): _vec({"a": 1}, "B")}
-        assert group_similarity("A", 1, "tagging", vectors) is None
+        spec = WindowSpec(epoch=0.0, count=1, width=10.0)
+        vectors = {("B", 1, "tagging"): _vec({"a": 1})}
+        series = build_series(vectors, spec, "tagging", ["A", "B"], "similarity")
+        assert series["A"] == [(1, None)]
 
     def test_no_other_active_group_is_none(self):
+        spec = WindowSpec(epoch=0.0, count=2, width=10.0)
         vectors = {
             ("A", 1, "tagging"): _vec({"a": 1}),
-            ("B", 2, "tagging"): _vec({"a": 1}, "B", 2),
-            ("B", 1, "mentioning"): _vec({"a": 1}, "B", 1, "mentioning"),
+            ("B", 2, "tagging"): _vec({"a": 1}),
+            ("B", 1, "mentioning"): _vec({"a": 1}),
         }
-        assert group_similarity("A", 1, "tagging", vectors) is None
+        series = build_series(vectors, spec, "tagging", ["A"], "similarity")
+        assert series["A"][0] == (1, None)
+        assert group_similarity(_vec({"a": 1}), []) is None
 
 
 def _rbo_reference(keys1, keys2, p):
@@ -172,44 +171,44 @@ class TestRbo:
     def test_ranking_ties_break_by_fact_key(self):
         v1 = _vec({"b": 2, "a": 2})
         v2 = _vec({"a": 2, "b": 2})
-        r1 = [f.key for f, _ in rank_vector(v1)]
-        r2 = [f.key for f, _ in rank_vector(v2)]
+        r1 = [f.key for f in rank_vector(v1)]
+        r2 = [f.key for f in rank_vector(v2)]
         assert r1 == r2 == ["a", "b"]
-        assert reproduction(rank_vector(v1), rank_vector(v2), RboParams(0.9)) == 1.0
+        assert reproduction(v1, v2, 0.9) == 1.0
 
 
 class TestSeries:
     def _vectors(self):
         return {
-            ("A", 1, "tagging"): _vec({"a": 3, "b": 1}, "A", 1),
-            ("A", 2, "tagging"): _vec({"a": 3, "b": 1}, "A", 2),
-            ("A", 3, "tagging"): _vec({"b": 9}, "A", 3),
-            ("B", 2, "tagging"): _vec({"a": 1}, "B", 2),
+            ("A", 1, "tagging"): _vec({"a": 3, "b": 1}),
+            ("A", 2, "tagging"): _vec({"a": 3, "b": 1}),
+            ("A", 3, "tagging"): _vec({"b": 9}),
+            ("B", 2, "tagging"): _vec({"a": 1}),
         }
 
     def test_reproduction_series_labels_later_window(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         series = build_series(self._vectors(), spec, "tagging", ["A", "B"], "reproduction")
-        assert [w for w, _ in series["A"].points] == [2, 3]
-        assert series["A"].points[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert [w for w, _ in series["A"]] == [2, 3]
+        assert series["A"][0][1] == pytest.approx(1.0, abs=1e-12)
         # [a, b] vs [b]: depth 1 agreement 0, depth 2 agreement 2/3
         expected = 0.1 * (0.9 * 2 / 3) + (2 / 3) * 0.81
-        assert series["A"].points[1][1] == pytest.approx(expected, abs=1e-12)
-        assert series["B"].points == [(2, None), (3, None)]
+        assert series["A"][1][1] == pytest.approx(expected, abs=1e-12)
+        assert series["B"] == [(2, None), (3, None)]
 
     def test_focus_and_frequency_series(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         f = build_series(self._vectors(), spec, "tagging", ["A"], "focus")["A"]
-        assert f.points[0][1] == pytest.approx(0.18872187554086717, abs=1e-10)
-        assert f.points[2][1] == 1.0
+        assert f[0][1] == pytest.approx(0.18872187554086717, abs=1e-10)
+        assert f[2][1] == 1.0
         q = build_series(self._vectors(), spec, "tagging", ["B"], "frequency")["B"]
-        assert q.points == [(1, None), (2, 1.0), (3, None)]
+        assert q == [(1, None), (2, 1.0), (3, None)]
 
     def test_similarity_series_uses_other_groups(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         s = build_series(self._vectors(), spec, "tagging", ["A", "B"], "similarity")
-        assert s["A"].points[0][1] is None  # B silent in window 1
-        assert s["A"].points[1][1] == pytest.approx(3 / math.sqrt(10), abs=1e-12)
+        assert s["A"][0][1] is None  # B silent in window 1
+        assert s["A"][1][1] == pytest.approx(3 / math.sqrt(10), abs=1e-12)
 
     def test_unknown_measure_rejected(self):
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
@@ -219,25 +218,22 @@ class TestSeries:
     def test_average_skips_nulls_and_uses_population_sd(self):
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}, "A"),
-            ("B", 1, "tagging"): _vec({"a": 2, "b": 1}, "B"),
+            ("A", 1, "tagging"): _vec({"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}),
+            ("B", 1, "tagging"): _vec({"a": 2, "b": 1}),
         }
         series = build_series(vectors, spec, "tagging", ["A", "B", "C"], "focus")
-        series["A"].points[0] = (1, 0.2)
-        series["B"].points[0] = (1, 0.4)
+        series["A"][0] = (1, 0.2)
+        series["B"][0] = (1, 0.4)
         avg = average_series(series)
-        assert avg.group == AVERAGE
-        assert avg.points[0] == (1, pytest.approx(0.3))
-        assert avg.sd[0][1] == pytest.approx(0.1, abs=1e-12)
-        assert avg.points[1] == (2, None)
-        assert avg.sd[1] == (2, None)
+        assert avg[0] == (1, pytest.approx(0.3), pytest.approx(0.1, abs=1e-12))
+        assert avg[1] == (2, None, None)
 
 
 def test_series_csv_golden(tmp_path):
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
     vectors = {
-        ("A", 1, "tagging"): _vec({"a": 1}, "A", 1),
-        ("A", 2, "tagging"): _vec({"a": 1}, "A", 2),
+        ("A", 1, "tagging"): _vec({"a": 1}),
+        ("A", 2, "tagging"): _vec({"a": 1}),
     }
     series = build_series(vectors, spec, "tagging", ["A"], "focus")
     avg = average_series(series)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from culturestream.errors import ConfigError
+from culturestream.cli import main
+from culturestream.errors import ConfigError, DataError
 from culturestream.pipeline import (
     ALL_STAGES,
     RunConfig,
@@ -118,6 +119,25 @@ class TestBuildRunConfig:
         values["restrict_to_roster"] = "maybe"
         with pytest.raises(ConfigError):
             build_run_config(values)
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            "".join(f"{k} = {v}\n" for k, v in values.items()) + "rbo = 0.5\nweek = 4\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="unknown settings: rbo, week"):
+            build_run_config(parse_config_file(config_file))
+        assert main(["report", "--config", str(config_file)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_epoch_rejected(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        for epoch in ("nan", "inf"):
+            values["epoch"] = epoch
+            with pytest.raises(ConfigError, match="epoch"):
+                build_run_config(values)
 
     def test_markers_parse(self, tmp_path):
         values = _small_inputs(tmp_path)
@@ -236,6 +256,30 @@ class TestByteOrderMark:
         manifest = run_pipeline(build_run_config(values))
         assert manifest["practices"]["following"] == "ok"
         assert manifest["artifacts"]["edges_following.csv"] == 2
+
+
+class TestHostileCorpus:
+    def test_bom_and_non_utf8_lines_do_not_stop_the_run(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        clean = corpus.read_bytes()
+        corpus.write_bytes(b"\xef\xbb\xbf" + clean + b"\xff\xfe not text\n")
+        counts = run_ingest(build_run_config(values))
+        assert counts["records_read"] == clean.count(b"\n") + 1
+        assert counts["skipped"]["malformed"] == 1
+        assert main(["report", *(f"--{k}={v}" for k, v in values.items())]) == 0
+
+
+class TestReservedGroupNames:
+    @pytest.mark.parametrize("name", ["TOTAL", "AVERAGE"])
+    def test_pseudo_group_name_in_roster_rejected(self, tmp_path, name):
+        values = _small_inputs(tmp_path)
+        roster = tmp_path / "roster.csv"
+        roster.write_text(roster.read_text(encoding="utf-8") + f"zed,{name}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=name):
+            run_pipeline(build_run_config(values))
+        assert main(["ingest", *(f"--{k}={v}" for k, v in values.items())]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunIngest:

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from culturestream.binning import (
-    CultureVector,
     WindowSpec,
     bin_transactions,
     rank_vector,
@@ -36,8 +35,9 @@ class TestWindowSpec:
 
     def test_window_starts_and_end(self):
         spec = WindowSpec(epoch=50.0, count=2, width=5.0)
-        assert spec.start_of(1) == 50.0
-        assert spec.start_of(2) == 55.0
+        assert spec.index_of(50.0) == 1
+        assert spec.index_of(55.0) == 2
+        assert spec.index_of(54.9999) == 1
         assert spec.end == 60.0
 
     def test_validation(self):
@@ -53,7 +53,8 @@ class TestWindowSpec:
         if idx is None:
             assert ts >= spec.end
         else:
-            assert spec.start_of(idx) <= ts < spec.start_of(idx) + spec.width
+            start = spec.epoch + (idx - 1) * spec.width
+            assert start <= ts < start + spec.width
 
 
 class TestBinning:
@@ -67,9 +68,9 @@ class TestBinning:
         ]
         vectors, dropped = bin_transactions(txs, spec)
         assert dropped == 0
-        assert vectors[("A", 1, "tagging")].counts == {_tag("a"): 2, _tag("b"): 1}
-        assert vectors[("A", 2, "tagging")].counts == {_tag("a"): 1}
-        assert vectors[("B", 1, "tagging")].counts == {_tag("c"): 1}
+        assert vectors[("A", 1, "tagging")] == {_tag("a"): 2, _tag("b"): 1}
+        assert vectors[("A", 2, "tagging")] == {_tag("a"): 1}
+        assert vectors[("B", 1, "tagging")] == {_tag("c"): 1}
 
     def test_absent_cells_have_no_vector(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
@@ -87,20 +88,20 @@ class TestBinning:
 
 class TestRanking:
     def test_descending_count_then_lexicographic(self):
-        vec = CultureVector("A", 1, "tagging", {_tag("b"): 2, _tag("a"): 2, _tag("c"): 5})
-        assert [f.key for f, _ in rank_vector(vec)] == ["c", "a", "b"]
+        vec = {_tag("b"): 2, _tag("a"): 2, _tag("c"): 5}
+        assert [f.key for f in rank_vector(vec)] == ["c", "a", "b"]
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            rank_vector(CultureVector("A", 1, "tagging", {}))
+            rank_vector({})
 
     @given(st.dictionaries(st.text(alphabet="abcdef", min_size=1, max_size=3),
                            st.integers(min_value=1, max_value=50), min_size=1, max_size=8))
     def test_rank_is_total_and_sorted(self, counts):
-        vec = CultureVector("A", 1, "tagging", {_tag(k): c for k, c in counts.items()})
+        vec = {_tag(k): c for k, c in counts.items()}
         ranked = rank_vector(vec)
         assert len(ranked) == len(counts)
-        values = [c for _, c in ranked]
+        values = [vec[f] for f in ranked]
         assert values == sorted(values, reverse=True)
 
 
