@@ -50,6 +50,9 @@ USER_KINDS = frozenset({"retweetee", "mentionee", "followee"})
 # Canonical skip reasons, in report order.
 SKIP_REASONS = ("malformed", "duplicate_id", "unknown_author", "outside_window", "no_facts")
 
+# IngestResult.malformed_lines keeps the first this many, not one per bad line.
+MALFORMED_SAMPLE = 20
+
 _HASHTAG_RE = re.compile(r"#(\w+)")
 # "RT username" and "RT @username", optional trailing colon.
 _RT_RE = re.compile(r"\bRT\s+@?([A-Za-z0-9_]+):?", re.IGNORECASE)
@@ -174,7 +177,10 @@ def load_roster(lines: Iterable[str]) -> dict[str, str]:
             continue
         if len(row) < 2:
             raise DataError(f"roster row {row_no}: expected 'user,group', got {row!r}")
-        user = normalize_handle(row[0])
+        try:
+            user = normalize_handle(row[0])
+        except ValueError as exc:
+            raise DataError(f"roster row {row_no}: {exc}") from None
         group = row[1].strip()
         if not group:
             raise DataError(f"roster row {row_no}: empty group for user {user!r}")
@@ -224,6 +230,11 @@ class IngestResult:
     @property
     def skipped_total(self) -> int:
         return sum(self.skipped.values())
+
+    def malformed(self, line_no: int, reason: str) -> None:
+        self.skipped["malformed"] += 1
+        if len(self.malformed_lines) < MALFORMED_SAMPLE:
+            self.malformed_lines.append((line_no, reason))
 
 
 def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
@@ -294,8 +305,7 @@ def load_corpus(
             ts = parse_timestamp(rec["timestamp"])
         # ValueError covers JSONDecodeError and UnicodeDecodeError.
         except (KeyError, ValueError, RecursionError) as exc:
-            result.skipped["malformed"] += 1
-            result.malformed_lines.append((line_no, str(exc)))
+            result.malformed(line_no, str(exc))
             logger.debug("line %d malformed: %s", line_no, exc)
             continue
 
@@ -315,8 +325,7 @@ def load_corpus(
         if "practice" in rec or "facts" in rec:
             practice = rec.get("practice")
             if practice not in PRACTICES or not isinstance(rec.get("facts"), list):
-                result.skipped["malformed"] += 1
-                result.malformed_lines.append((line_no, "bad practice/facts fields"))
+                result.malformed(line_no, "bad practice/facts fields")
                 continue
             facts = _facts_from_keys(practice, rec["facts"], roster, restrict_to_roster)
             if facts:
@@ -329,8 +338,7 @@ def load_corpus(
 
         text = rec.get("text")
         if not isinstance(text, str):
-            result.skipped["malformed"] += 1
-            result.malformed_lines.append((line_no, "missing text field"))
+            result.malformed(line_no, "missing text field")
             continue
         extracted = extract_facts(
             text,

@@ -9,6 +9,9 @@ scores.  Two threshold variants are supported:
   literal      r_t >= h / h0_t        (default)
   normalized   r_t / h0_t >= h
 
+A window with r_t > 0 clears every h up to its own bound m_t; the score is the
+h-index of the m_t, which costs O(W + k log k) per fact, k of its W windows active.
+
 Burstiness uses a two-state cost model.  With base rate p0 = R/D and burst
 rate p1 = 2*R/D (clamped below 1), the cost of window t under state s is the
 negative log binomial likelihood of r_t references out of d_t.  A burst
@@ -84,20 +87,23 @@ def institutionness_value(
     if variant not in INSTITUTIONNESS_VARIANTS:
         raise ValueError(f"unknown institutionness variant {variant!r}")
     n = len(r)
-    for h in range(n, 0, -1):
-        satisfied = 0
-        for rt, h0t in zip(r, h0):
-            if h0t is None:
-                continue
-            if variant == "literal":
-                ok = rt >= h / h0t
-            else:
-                ok = rt / h0t >= h
-            if ok:
-                satisfied += 1
-        if satisfied >= h:
-            return h
-    return 0
+    literal = variant == "literal"
+    bounds = []
+    for rt, h0t in zip(r, h0):
+        if rt <= 0 or h0t is None:
+            continue
+        # m is the largest h this window clears.  The float estimate can be
+        # off at a rounding boundary; the exact test is monotone in h.
+        est = rt * h0t if literal else rt / h0t
+        m = int(est) if est < n else n
+        while m < n and (rt >= (m + 1) / h0t if literal else rt / h0t >= m + 1):
+            m += 1
+        while m > 0 and not (rt >= m / h0t if literal else rt / h0t >= m):
+            m -= 1
+        bounds.append(m)
+    # The h-index of the bounds: sorted descending, m >= i holds for a prefix.
+    bounds.sort(reverse=True)
+    return sum(m >= i for i, m in enumerate(bounds, 1))
 
 
 def burst_costs(r: Sequence[int], d: Sequence[int]) -> list[tuple[float, float]]:
@@ -113,23 +119,24 @@ def burst_costs(r: Sequence[int], d: Sequence[int]) -> list[tuple[float, float]]
         raise ValueError("burst costs need R > 0 and D > 0")
     p0 = total_r / total_d
     p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
+    log_p0, log_p1, log_q1 = log(p0), log(p1), log(1.0 - p1)
+    # p0 == 1 only when r_t == d_t in every window, where ln(1 - p0) is unused.
+    log_q0 = log(1.0 - p0) if p0 < 1.0 else 0.0
     costs = []
     for rt, dt in zip(r, d):
         if dt == 0:
             costs.append((0.0, 0.0))
             continue
-        ln_choose = lgamma(dt + 1) - lgamma(rt + 1) - lgamma(dt - rt + 1)
-        costs.append((_state_cost(ln_choose, rt, dt, p0), _state_cost(ln_choose, rt, dt, p1)))
+        # ln C(d_t, 0) is exactly 0.0 by this same expression.
+        g0 = g1 = lgamma(dt + 1) - lgamma(rt + 1) - lgamma(dt - rt + 1) if rt else 0.0
+        if rt > 0:
+            g0 += rt * log_p0
+            g1 += rt * log_p1
+        if dt - rt > 0:
+            g0 += (dt - rt) * log_q0
+            g1 += (dt - rt) * log_q1
+        costs.append((-g0, -g1))
     return costs
-
-
-def _state_cost(ln_choose: float, rt: int, dt: int, ps: float) -> float:
-    cost = ln_choose
-    if rt > 0:
-        cost += rt * log(ps)
-    if dt - rt > 0:
-        cost += (dt - rt) * log(1.0 - ps)
-    return -cost
 
 
 def burst_improvements(r: Sequence[int], d: Sequence[int]) -> list[float]:
@@ -170,18 +177,14 @@ def burst_episodes(r: Sequence[int], d: Sequence[int]) -> list[tuple[int, int, f
     if sum(r) == 0:
         return []
     episodes = []
-    onset = None
-    weight = 0.0
-    # A trailing 0.0 closes a run that lasts to the last window.
-    for idx, imp in enumerate(burst_improvements(r, d) + [0.0]):
-        if imp > 0:
-            if onset is None:
-                onset = idx + 1
-                weight = 0.0
-            weight += imp
-        elif onset is not None:
-            episodes.append((onset, idx, weight))
-            onset = None
+    for window, imp in enumerate(burst_improvements(r, d), 1):
+        if not imp > 0:
+            continue
+        if episodes and episodes[-1][1] == window - 1:
+            onset, _, weight = episodes[-1]
+            episodes[-1] = (onset, window, weight + imp)
+        else:
+            episodes.append((window, window, imp))
     return episodes
 
 

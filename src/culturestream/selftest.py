@@ -2,8 +2,8 @@
 
 Each check is small, named, and independent; ``run()`` executes them all and
 reports per-check pass/fail.  The battery includes hand-computed reference
-values for every measure, an exhaustive cross-check of the institutionness
-scan, and an algebraic cross-check of the burst cost model, so a broken
+values for every measure, an exhaustive cross-check of institutionness at float
+boundaries, and an algebraic cross-check of the burst cost model, so a broken
 build fails loudly before it produces plausible-looking numbers.
 """
 
@@ -142,17 +142,25 @@ def _brute_force_institutionness(r, h0, variant) -> int:
 
 def check_institutionness_matches_brute_force() -> None:
     rng = random.Random(20130722)
+    series = []
     for trial in range(200):
         n = 13
         r = [rng.randint(0, 50) for _ in range(n)]
         h0: list[Optional[float]] = [
             None if rng.random() < 0.15 else rng.uniform(0.1, 5.0) for _ in range(n)
         ]
+        series.append((r, h0))
+    # 78 windows at rates whose product with a count lands on, or one ulp off,
+    # an integer: where a float estimate of a window's bound goes wrong.
+    for x in (1 / 3, 0.1, 0.7, 1 / 7, 3 / 7, 1e-9, 1e9):
+        for h0t in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+            series += [([rt] * 78, [h0t] * 78) for rt in range(10, 100, 10)]
+    for trial, (r, h0) in enumerate(series):
         for variant in facts.INSTITUTIONNESS_VARIANTS:
             got = facts.institutionness_value(r, h0, variant)
             want = _brute_force_institutionness(r, h0, variant)
             assert got == want, (trial, variant, r, h0, got, want)
-            assert 0 <= got <= n
+            assert 0 <= got <= len(r)
 
 
 def check_week_rate_known() -> None:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from culturestream.corpus import (
+    MALFORMED_SAMPLE,
     IngestResult,
     extract_facts,
     fold_hashtag,
@@ -210,6 +211,16 @@ class TestLoadCorpus:
     def test_blank_lines_not_counted(self, small_roster):
         result = load_corpus(["", "  ", _raw("a", "alice", 1, "#x")], small_roster, SPAN)
         assert result.records_read == 1
+
+    def test_malformed_sample_is_capped_and_counts_stay_exact(self, small_roster):
+        lines = ["junk"] * 1000 + [_raw("a", "alice", 1, "#x")]
+        result = load_corpus(lines, small_roster, SPAN)
+        assert result.skipped["malformed"] == 1000
+        assert len(result.malformed_lines) == MALFORMED_SAMPLE
+        assert [n for n, _ in result.malformed_lines] == list(range(1, MALFORMED_SAMPLE + 1))
+        assert result.records_read == len({t.id for t in result.transactions}) + (
+            result.skipped_total
+        )
 
 
 class TestHostileLines:

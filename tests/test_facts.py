@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from culturestream.binning import WindowSpec
 from culturestream.corpus import Fact
 from culturestream.facts import (
+    INSTITUTIONNESS_VARIANTS,
+    P1_CLAMP_EPS,
     FactMeasureRow,
     avg_rate,
     burst_costs,
@@ -161,6 +164,73 @@ class TestInstitutionness:
         assert institutionness_value(bumped, h0) >= before
 
 
+def _near(x):
+    """x and its two neighbouring floats."""
+    return (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+
+
+# Rates whose product or quotient with a count lands on or one ulp off an integer.
+BOUNDARY_H0 = [y for x in (1 / 3, 0.1, 0.7, 1 / 7, 3 / 7, 1e-9, 1e9) for y in _near(x)]
+
+boundary_window = st.integers(min_value=0, max_value=80).flatmap(
+    lambda rt: st.tuples(
+        st.just(rt),
+        st.one_of(
+            st.none(),
+            st.sampled_from(BOUNDARY_H0),
+            # r_t * h0_t or r_t / h0_t on an integer k, or one ulp either side
+            st.integers(min_value=1, max_value=80).flatmap(
+                lambda k: st.sampled_from(_near(k / max(rt, 1)) + _near(max(rt, 1) / k))
+            ),
+            st.floats(min_value=0.01, max_value=100.0),
+        ),
+    )
+)
+
+
+class TestInstitutionnessBoundaries:
+    """Per-window rates at float rounding boundaries, against the exhaustive search."""
+
+    @given(
+        st.lists(boundary_window, min_size=1, max_size=78),
+        st.sampled_from(INSTITUTIONNESS_VARIANTS),
+    )
+    def test_boundary_rates_per_window(self, windows, variant):
+        r = [rt for rt, _ in windows]
+        h0 = [h0t for _, h0t in windows]
+        assert institutionness_value(r, h0, variant) == _brute_force_institutionness(
+            r, h0, variant
+        )
+
+    @pytest.mark.parametrize("variant", INSTITUTIONNESS_VARIANTS)
+    def test_seventy_eight_windows_of_boundary_rates(self, variant):
+        rng = random.Random(78)
+        for _ in range(100):
+            r = [rng.choice((0, rng.randint(1, 80))) for _ in range(78)]
+            h0 = [None if rng.random() < 0.1 else rng.choice(BOUNDARY_H0) for _ in range(78)]
+            assert institutionness_value(r, h0, variant) == _brute_force_institutionness(
+                r, h0, variant
+            ), (r, h0)
+
+    @pytest.mark.parametrize(
+        "rt, h0t, windows, want",
+        [
+            (20, math.nextafter(0.1, 0.0), 2, 2),  # 20 * h0 rounds down to 1.9999...
+            (50, math.nextafter(0.1, 0.0), 5, 4),  # 50 * h0 rounds up to 5.0
+            (30, 0.7, 21, 20),  # 30 * 0.7 == 21.0, but 21 / 0.7 > 30
+            (90, 0.7, 63, 63),  # 90 * 0.7 < 63, but 63 / 0.7 == 90.0
+        ],
+    )
+    def test_product_one_ulp_off_the_bound(self, rt, h0t, windows, want):
+        r, h0 = [rt] * windows, [h0t] * windows
+        assert institutionness_value(r, h0) == want
+        assert _brute_force_institutionness(r, h0, "literal") == want
+
+    @pytest.mark.parametrize("variant", INSTITUTIONNESS_VARIANTS)
+    def test_large_exact_case(self, variant):
+        assert institutionness_value([50] * 2000, [1.0] * 2000, variant) == 50
+
+
 series_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40)),
     min_size=1,
@@ -215,6 +285,50 @@ class TestBurstCosts:
         r, d = rd
         for via_costs, direct in zip(burst_improvements(r, d), improvement_closed_form(r, d)):
             assert via_costs == pytest.approx(direct, abs=1e-9)
+
+
+def _log_gamma_costs(r, d):
+    """The per-window log-gamma costs, evaluated one window and one state at a time."""
+    p0 = sum(r) / sum(d)
+    p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
+    costs = []
+    for rt, dt in zip(r, d):
+        if dt == 0:
+            costs.append((0.0, 0.0))
+            continue
+        ln_choose = math.lgamma(dt + 1) - math.lgamma(rt + 1) - math.lgamma(dt - rt + 1)
+        pair = []
+        for ps in (p0, p1):
+            cost = ln_choose
+            if rt > 0:
+                cost += rt * math.log(ps)
+            if dt - rt > 0:
+                cost += (dt - rt) * math.log(1.0 - ps)
+            pair.append(-cost)
+        costs.append(tuple(pair))
+    return costs
+
+
+class TestBurstBitIdentity:
+    def test_seventy_eight_window_series(self):
+        rng = random.Random(2002)
+        for _ in range(300):
+            d = [rng.choice((0, rng.randint(1, 400))) for _ in range(78)]
+            r = [rng.choice((0, 0, rng.randint(0, dt))) for dt in d]
+            if sum(r) == 0:
+                continue
+            costs = _log_gamma_costs(r, d)
+            improvements = [g0 - g1 for g0, g1 in costs]
+            assert burst_costs(r, d) == costs
+            assert burst_improvements(r, d) == improvements
+            for onset, end, weight in burst_episodes(r, d):
+                assert weight == sum(improvements[onset - 1 : end])
+
+    def test_every_reference_in_its_own_window(self):
+        # r == d gives p0 == 1, where ln(1 - p0) is a math domain error.
+        r = d = [3, 0, 5, 1]
+        assert burst_costs(r, d) == _log_gamma_costs(r, d)
+        assert burst_episodes(r, d) == []
 
 
 class TestEpisodes:

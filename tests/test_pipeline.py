@@ -282,6 +282,16 @@ class TestReservedGroupNames:
         assert not (tmp_path / "out").exists()
 
 
+class TestBadRosterHandle:
+    @pytest.mark.parametrize("row", [",B", "bo b,B"])
+    def test_unusable_user_is_a_data_error(self, tmp_path, row):
+        values = _small_inputs(tmp_path)
+        roster = tmp_path / "roster.csv"
+        roster.write_text(roster.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        assert main(["report", *(f"--{k}={v}" for k, v in values.items())]) == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunIngest:
     def test_writes_stream_and_report(self, tmp_path):
         values = _small_inputs(tmp_path)
