@@ -44,7 +44,7 @@ def classify(seed: int, rate: float, multiplier: float) -> str:
     for group, _ in GROUPS:
         episodes = [
             r for r in rows
-            if r.group == group and r.fact.key == "storm" and r.onset is not None
+            if r.group == group and r.fact == "storm" and r.onset is not None
         ]
         if not episodes:
             return "no-episode"

@@ -17,7 +17,6 @@ homophily mixing, burst injection) used to validate the measures.
 
 from .binning import CultureVector, WindowSpec, bin_transactions, rank_vector
 from .corpus import (
-    Fact,
     IngestResult,
     Transaction,
     extract_facts,
@@ -52,7 +51,6 @@ __all__ = [
     "ConfigError",
     "CultureVector",
     "DataError",
-    "Fact",
     "IngestResult",
     "PracticeGraph",
     "RunConfig",

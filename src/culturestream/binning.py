@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .corpus import Fact, Transaction, write_csv
+from .corpus import KIND_FOR_PRACTICE, Transaction, write_csv
 
 VectorKey = tuple[str, int, str]  # (group, window, practice)
 
@@ -38,11 +38,12 @@ class WindowSpec:
         """1-based window index, or None outside [epoch, end)."""
         if not (self.epoch <= timestamp < self.end):
             return None
-        return int((timestamp - self.epoch) // self.width) + 1
+        # Float round-off can put a timestamp just below end one window past the grid.
+        return min(int((timestamp - self.epoch) // self.width) + 1, self.count)
 
 
 # The fact-frequency distribution of one (group, window, practice) cell.
-CultureVector = dict[Fact, int]
+CultureVector = dict[str, int]
 
 
 def bin_transactions(
@@ -69,11 +70,11 @@ def bin_transactions(
     return vectors, dropped
 
 
-def rank_vector(vector: CultureVector) -> list[Fact]:
+def rank_vector(vector: CultureVector) -> list[str]:
     """The facts in rank order: descending count, ties ascending by fact key."""
     if not vector:
         raise ValueError("empty culture")
-    return sorted(vector, key=lambda fact: (-vector[fact], fact.key))
+    return sorted(vector, key=lambda fact: (-vector[fact], fact))
 
 
 def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> int:
@@ -82,8 +83,8 @@ def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> int:
         path,
         ["group", "window", "practice", "fact_kind", "fact", "count"],
         (
-            (*key, fact.kind, fact.key, count)
+            (*key, KIND_FOR_PRACTICE[key[2]], fact, count)
             for key in sorted(vectors)
-            for fact, count in sorted(vectors[key].items(), key=lambda kv: kv[0].key)
+            for fact, count in sorted(vectors[key].items())
         ),
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import re
 import unicodedata
@@ -34,8 +33,6 @@ from typing import Iterable, Optional
 
 from .errors import DataError
 
-logger = logging.getLogger(__name__)
-
 PRACTICES = ("tagging", "retweeting", "mentioning", "following")
 
 KIND_FOR_PRACTICE = {
@@ -44,8 +41,6 @@ KIND_FOR_PRACTICE = {
     "mentioning": "mentionee",
     "following": "followee",
 }
-
-USER_KINDS = frozenset({"retweetee", "mentionee", "followee"})
 
 # Canonical skip reasons, in report order.
 SKIP_REASONS = ("malformed", "duplicate_id", "unknown_author", "outside_window", "no_facts")
@@ -60,23 +55,19 @@ _MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
 
 
 @dataclass(frozen=True)
-class Fact:
-    """A referenced cultural object: a hashtag or a user handle."""
-
-    kind: str
-    key: str
-
-
-@dataclass(frozen=True)
 class Transaction:
-    """One communicative act by an author, referencing one or more facts."""
+    """One communicative act by an author, referencing one or more facts.
+
+    A fact is its normalized key; its kind follows from the practice
+    (``KIND_FOR_PRACTICE``).
+    """
 
     id: str
     author: str
     group: str
     timestamp: float
     practice: str
-    facts: tuple[Fact, ...]
+    facts: tuple[str, ...]
 
 
 def normalize_handle(raw: str) -> str:
@@ -238,13 +229,12 @@ class IngestResult:
 
 
 def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
-                     restrict_to_roster: bool) -> tuple[Fact, ...]:
-    kind = KIND_FOR_PRACTICE[practice]
+                     restrict_to_roster: bool) -> list[str]:
     cleaned = []
     for raw in keys:
         if not isinstance(raw, str):
             continue
-        if kind == "hashtag":
+        if practice == "tagging":
             key = fold_hashtag(raw.lstrip("#"))
             if not key:
                 continue
@@ -256,7 +246,7 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
             if restrict_to_roster and key not in roster:
                 continue
         cleaned.append(key)
-    return tuple(Fact(kind, k) for k in _dedupe(cleaned))
+    return _dedupe(cleaned)
 
 
 def load_corpus(
@@ -305,8 +295,8 @@ def load_corpus(
             ts = parse_timestamp(rec["timestamp"])
         # ValueError covers JSONDecodeError and UnicodeDecodeError.
         except (KeyError, ValueError, RecursionError) as exc:
-            result.malformed(line_no, str(exc))
-            logger.debug("line %d malformed: %s", line_no, exc)
+            result.malformed(line_no, f"missing field {exc}" if isinstance(exc, KeyError)
+                             else str(exc))
             continue
 
         if rec_id in seen_ids:
@@ -327,37 +317,29 @@ def load_corpus(
             if practice not in PRACTICES or not isinstance(rec.get("facts"), list):
                 result.malformed(line_no, "bad practice/facts fields")
                 continue
-            facts = _facts_from_keys(practice, rec["facts"], roster, restrict_to_roster)
-            if facts:
-                result.transactions.append(
-                    Transaction(rec_id, author, group, ts, practice, facts)
-                )
-            else:
-                result.skipped["no_facts"] += 1
-            continue
-
-        text = rec.get("text")
-        if not isinstance(text, str):
-            result.malformed(line_no, "missing text field")
-            continue
-        extracted = extract_facts(
-            text,
-            roster_handles,
-            restrict_to_roster=restrict_to_roster,
-            include_retweet_hashtags=include_retweet_hashtags,
-        )
-        emitted = 0
-        for practice in ("tagging", "retweeting", "mentioning"):
-            keys = extracted[practice]
-            if not keys:
+            keys_by_practice = {
+                practice: _facts_from_keys(practice, rec["facts"], roster, restrict_to_roster)
+            }
+        else:
+            text = rec.get("text")
+            if not isinstance(text, str):
+                result.malformed(line_no, "missing text field")
                 continue
-            kind = KIND_FOR_PRACTICE[practice]
-            facts = tuple(Fact(kind, k) for k in keys)
-            result.transactions.append(
-                Transaction(rec_id, author, group, ts, practice, facts)
+            keys_by_practice = extract_facts(
+                text,
+                roster_handles,
+                restrict_to_roster=restrict_to_roster,
+                include_retweet_hashtags=include_retweet_hashtags,
             )
-            emitted += 1
-        if emitted == 0:
+
+        emitted = False
+        for practice, keys in keys_by_practice.items():
+            if keys:
+                result.transactions.append(
+                    Transaction(rec_id, author, group, ts, practice, tuple(keys))
+                )
+                emitted = True
+        if not emitted:
             result.skipped["no_facts"] += 1
 
     return result
@@ -387,20 +369,15 @@ def validate_transactions(
             violations.append(f"{where}: timestamp outside window")
         if t.practice not in PRACTICES:
             violations.append(f"{where}: unknown practice")
-        else:
-            kind = KIND_FOR_PRACTICE[t.practice]
-            for f in t.facts:
-                if f.kind != kind:
-                    violations.append(f"{where}: fact kind {f.kind} mismatches practice")
-                if not f.key or f.key != f.key.lower() or f.key.startswith(("#", "@")):
-                    violations.append(f"{where}: unnormalized fact key {f.key!r}")
-        keys = [f.key for f in t.facts]
-        if len(set(keys)) != len(keys):
+        for key in t.facts:
+            if not key or key != key.lower() or key.startswith(("#", "@")):
+                violations.append(f"{where}: unnormalized fact key {key!r}")
+        if len(set(t.facts)) != len(t.facts):
             violations.append(f"{where}: duplicate facts within transaction")
         if t.practice == "retweeting":
-            rt_by_id.setdefault(t.id, set()).update(keys)
+            rt_by_id.setdefault(t.id, set()).update(t.facts)
         elif t.practice == "mentioning":
-            mention_by_id.setdefault(t.id, set()).update(keys)
+            mention_by_id.setdefault(t.id, set()).update(t.facts)
 
     for rec_id, rts in rt_by_id.items():
         overlap = rts & mention_by_id.get(rec_id, set())
@@ -445,7 +422,7 @@ def write_transactions_jsonl(transactions: Iterable[Transaction], path) -> None:
                         "user": t.author,
                         "timestamp": t.timestamp,
                         "practice": t.practice,
-                        "facts": [f.key for f in t.facts],
+                        "facts": list(t.facts),
                     },
                     sort_keys=True,
                 )

@@ -27,7 +27,7 @@ from math import lgamma, log
 from typing import Optional, Sequence
 
 from .binning import CultureVector, VectorKey, WindowSpec
-from .corpus import Fact, fmt, write_csv
+from .corpus import fmt, write_csv
 
 P1_CLAMP_EPS = 1e-9
 
@@ -39,7 +39,7 @@ def collect_fact_series(
     spec: WindowSpec,
     group: str,
     practice: str,
-) -> tuple[list[int], dict[Fact, list[int]]]:
+) -> tuple[list[int], dict[str, list[int]]]:
     """One group's (d, {fact: r}) in fact-key order.
 
     r_t counts references to the fact per window and d_t the group's total
@@ -48,7 +48,7 @@ def collect_fact_series(
     for multi-fact messages.
     """
     d = [0] * spec.count
-    per_fact: dict[Fact, list[int]] = {}
+    per_fact: dict[str, list[int]] = {}
     for w in range(1, spec.count + 1):
         vec = vectors.get((group, w, practice))
         if vec is None:
@@ -56,7 +56,7 @@ def collect_fact_series(
         d[w - 1] = sum(vec.values())
         for fact, count in vec.items():
             per_fact.setdefault(fact, [0] * spec.count)[w - 1] = count
-    return d, dict(sorted(per_fact.items(), key=lambda kv: kv[0].key))
+    return d, dict(sorted(per_fact.items()))
 
 
 def avg_rate(
@@ -68,7 +68,7 @@ def avg_rate(
     institutionness threshold.
     """
     totals = [0] * spec.count
-    facts_seen: list[set[Fact]] = [set() for _ in range(spec.count)]
+    facts_seen: list[set[str]] = [set() for _ in range(spec.count)]
     for (group, window, prac), vec in vectors.items():
         if prac != practice:
             continue
@@ -194,7 +194,7 @@ class FactMeasureRow:
 
     group: str
     practice: str
-    fact: Fact
+    fact: str
     institutionness: int
     burstiness: float
     onset: Optional[int]
@@ -250,7 +250,7 @@ def write_fact_csv(rows: list[FactMeasureRow], path) -> int:
         path,
         ["group", "practice", "fact", "I", "B", "onset", "end"],
         (
-            (r.group, r.practice, r.fact.key, r.institutionness, fmt(r.burstiness), r.onset, r.end)
-            for r in sorted(rows, key=lambda r: (r.group, r.fact.key, r.onset or 0))
+            (r.group, r.practice, r.fact, r.institutionness, fmt(r.burstiness), r.onset, r.end)
+            for r in sorted(rows, key=lambda r: (r.group, r.fact, r.onset or 0))
         ),
     )

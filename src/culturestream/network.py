@@ -22,7 +22,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .corpus import USER_KINDS, Transaction, fmt, normalize_handle, write_csv
+from .corpus import Transaction, fmt, normalize_handle, write_csv
 from .errors import DataError
 
 TOTAL = "TOTAL"
@@ -59,10 +59,7 @@ def build_graph(
         if t.practice != practice:
             continue
         src = t.author
-        for fact in t.facts:
-            if fact.kind not in USER_KINDS:
-                continue
-            tgt = fact.key
+        for tgt in t.facts:
             if tgt == src or tgt not in roster:
                 continue
             graph.arcs[(src, tgt)] = graph.arcs.get((src, tgt), 0) + 1

@@ -149,6 +149,8 @@ class RunConfig:
         for practice in self.practices:
             if practice not in TEMPORAL_PRACTICES:
                 raise ConfigError(f"unknown practice {practice!r}")
+        if len(set(self.practices)) != len(self.practices):
+            raise ConfigError(f"repeated practice in {', '.join(self.practices)}")
         for window, _ in self.markers:
             if not (1 <= window <= self.count):
                 raise ConfigError(f"marker window {window} outside 1..{self.count}")
@@ -246,6 +248,11 @@ def _load(config: RunConfig):
             restrict_to_roster=config.restrict_to_roster,
             include_retweet_hashtags=config.include_retweet_hashtags,
         )
+    if ingest.malformed_lines:
+        logger.warning(
+            "malformed records: %d; %s", ingest.skipped["malformed"],
+            "; ".join(f"line {n}: {reason}" for n, reason in ingest.malformed_lines),
+        )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return roster, ingest, out
@@ -259,11 +266,7 @@ def _ingest_counts(ingest) -> dict:
     }
 
 
-def run_pipeline(
-    config: RunConfig,
-    stages: frozenset = ALL_STAGES,
-    write_manifest: bool = True,
-) -> dict:
+def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     """Run the selected stages and return the manifest.
 
     A failure inside one practice is recorded in the manifest and does not
@@ -346,10 +349,9 @@ def run_pipeline(
         "practices": status,
         "markers": echo["markers"],
     }
-    if write_manifest:
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
     return manifest
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import facts, measures, synth
-from .binning import CultureVector, WindowSpec, bin_transactions, rank_vector
-from .corpus import Fact, load_corpus
+from .binning import WindowSpec, bin_transactions, rank_vector
+from .corpus import Transaction, load_corpus
 
 # Hand-computed reference values (see the matching checks for the arithmetic).
 FOCUS_3_1 = 0.18872187554086717
@@ -26,14 +26,6 @@ RBO_SWAP_09 = 0.90
 RBO_SWAP_05 = 0.50
 RBO_TOP10_MASS_09 = 0.6513215599
 BURST_WEIGHT_1_5 = 0.667656963122613
-
-
-def _tag(key: str) -> Fact:
-    return Fact("hashtag", key)
-
-
-def _vector(counts: dict[str, int]) -> CultureVector:
-    return {_tag(k): c for k, c in counts.items()}
 
 
 def _approx(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -45,18 +37,18 @@ def _approx(a: float, b: float, tol: float = 1e-12) -> bool:
 
 
 def check_focus_single_fact() -> None:
-    assert measures.focus(_vector({"a": 5})) == 1.0
+    assert measures.focus({"a": 5}) == 1.0
 
 
 def check_focus_uniform() -> None:
-    value = measures.focus(_vector({"a": 2, "b": 2, "c": 2, "d": 2}))
+    value = measures.focus({"a": 2, "b": 2, "c": 2, "d": 2})
     assert _approx(value, 0.0), value
 
 
 def check_focus_known_vector() -> None:
     # {a: 3, b: 1}: H = -(3/4)log2(3/4) - (1/4)log2(1/4) = 0.811278...,
     # focus = 1 - H / log2(2) = 0.188721...
-    value = measures.focus(_vector({"a": 3, "b": 1}))
+    value = measures.focus({"a": 3, "b": 1})
     assert _approx(value, FOCUS_3_1), value
 
 
@@ -65,23 +57,23 @@ def check_focus_known_vector() -> None:
 
 
 def check_similarity_identical() -> None:
-    v = _vector({"a": 2, "b": 7})
+    v = {"a": 2, "b": 7}
     assert _approx(measures.pair_similarity(v, v), 1.0)
 
 
 def check_similarity_disjoint() -> None:
-    assert measures.pair_similarity(_vector({"a": 3}), _vector({"b": 3})) == 0.0
+    assert measures.pair_similarity({"a": 3}, {"b": 3}) == 0.0
 
 
 def check_similarity_known_pair() -> None:
     # (1,1)·(1,0) / (sqrt(2) * 1) = 1/sqrt(2)
-    value = measures.pair_similarity(_vector({"a": 1, "b": 1}), _vector({"a": 1}))
+    value = measures.pair_similarity({"a": 1, "b": 1}, {"a": 1})
     assert _approx(value, COSINE_AB_A), value
 
 
 def check_similarity_needs_other_groups() -> None:
     spec = WindowSpec(epoch=0.0, count=1, width=1.0)
-    vectors = {("G", 1, "tagging"): _vector({"a": 1})}
+    vectors = {("G", 1, "tagging"): {"a": 1}}
     assert measures.build_series(vectors, spec, "tagging", ["G"], "similarity") == {
         "G": [(1, None)]
     }
@@ -117,8 +109,8 @@ def check_rbo_top_depth_mass() -> None:
 
 
 def check_rbo_ranking_tie_break() -> None:
-    ranked = rank_vector(_vector({"b": 2, "a": 2, "c": 1}))
-    assert [f.key for f in ranked] == ["a", "b", "c"], ranked
+    ranked = rank_vector({"b": 2, "a": 2, "c": 1})
+    assert ranked == ["a", "b", "c"], ranked
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,7 @@ def check_institutionness_matches_brute_force() -> None:
 def check_week_rate_known() -> None:
     # One group, one window, counts {a: 3, b: 1}: 4 references / 2 facts = 2.
     spec = WindowSpec(epoch=0.0, count=2, width=1.0)
-    vectors = {("G", 1, "tagging"): _vector({"a": 3, "b": 1})}
+    vectors = {("G", 1, "tagging"): {"a": 3, "b": 1}}
     assert facts.avg_rate(vectors, spec, "tagging") == [2.0, None]
 
 
@@ -177,7 +169,7 @@ def check_week_rate_known() -> None:
 def _normalized_rows(r, d) -> list[facts.FactMeasureRow]:
     """One fact's episode rows, normalized as a group of their own."""
     return facts.normalize_bursts([
-        facts.FactMeasureRow("G", "tagging", _tag("a"), 0, weight, onset, end)
+        facts.FactMeasureRow("G", "tagging", "a", 0, weight, onset, end)
         for onset, end, weight in facts.burst_episodes(r, d)
     ])
 
@@ -248,9 +240,7 @@ def check_window_binning_half_open() -> None:
 
 def check_absent_group_week_has_no_vector() -> None:
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
-    from .corpus import Transaction
-
-    t = Transaction("x1", "u", "G", 3.0, "tagging", (_tag("a"),))
+    t = Transaction("x1", "u", "G", 3.0, "tagging", ("a",))
     vectors, dropped = bin_transactions([t], spec)
     assert dropped == 0
     assert ("G", 1, "tagging") in vectors
@@ -280,7 +270,7 @@ def check_ingest_conservation() -> None:
                 "user": t.author,
                 "timestamp": t.timestamp,
                 "practice": t.practice,
-                "facts": [f.key for f in t.facts],
+                "facts": list(t.facts),
             }
         )
         for t in transactions

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Fact, Transaction, write_csv
+from .corpus import Transaction, write_csv
 
 GENERATED_PRACTICES = ("tagging", "retweeting", "mentioning")
 
@@ -159,15 +159,13 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
             for practice in config.practices:
                 for _ in range(rng.poisson(config.rate)):
                     if practice == "tagging":
-                        fact = Fact("hashtag", urn.draw(config.alpha, boosts))
+                        fact = urn.draw(config.alpha, boosts)
                     else:
-                        target = _draw_target(
+                        fact = _draw_target(
                             rng, member, members, index_of, same_group[member], config.hom
                         )
-                        if target is None:
+                        if fact is None:
                             continue
-                        kind = "retweetee" if practice == "retweeting" else "mentionee"
-                        fact = Fact(kind, target)
                     serial += 1
                     transactions.append(
                         Transaction(

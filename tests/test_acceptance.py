@@ -14,7 +14,7 @@ import time
 import pytest
 
 from culturestream.binning import WindowSpec, bin_transactions, rank_vector
-from culturestream.corpus import Fact, load_corpus, load_roster
+from culturestream.corpus import load_corpus, load_roster
 from culturestream.facts import (
     burst_improvements,
     fact_measures,
@@ -32,7 +32,7 @@ from culturestream.synth import BurstInjection, SynthConfig, generate
 
 
 def _vec(counts):
-    return {Fact("hashtag", k): c for k, c in counts.items()}
+    return dict(counts)
 
 
 # --- 1. measure bounds and identities on randomized vectors ----------------
@@ -51,8 +51,8 @@ def test_measure_bounds_and_identities_on_random_vectors():
     for left, right in zip(vectors, vectors[1:]):
         assert 0.0 <= pair_similarity(left, right) <= 1.0 + 1e-12
         r = rbo_extended(
-            [f.key for f in rank_vector(left)],
-            [f.key for f in rank_vector(right)],
+            rank_vector(left),
+            rank_vector(right),
             0.9,
         )
         assert 0.0 <= r <= 1.0 + 1e-12
@@ -61,7 +61,7 @@ def test_measure_bounds_and_identities_on_random_vectors():
     assert focus(_vec({"a": 4, "b": 4, "c": 4, "d": 4})) == pytest.approx(0.0, abs=1e-12)
     some = vectors[0]
     assert pair_similarity(some, some) == pytest.approx(1.0, abs=1e-12)
-    keys = [f.key for f in rank_vector(some)]
+    keys = rank_vector(some)
     assert rbo_extended(keys, keys, 0.9) == pytest.approx(1.0, abs=1e-12)
     assert rbo_extended(["a", "b"], ["c", "d"], 0.9) == 0.0
 
@@ -163,7 +163,7 @@ def test_injected_burst_recovered_across_seeds():
         for group in ("A", "B"):
             rows = fact_measures(vectors, spec, [group], "tagging")
             episodes = [
-                row for row in rows if row.fact.key == "storm" and row.onset is not None
+                row for row in rows if row.fact == "storm" and row.onset is not None
             ]
             if not episodes:
                 ok = False
@@ -252,7 +252,7 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
             for t in ingest.transactions
             if t.practice == practice
             for f in t.facts
-            if f.key in roster and f.key != t.author
+            if f in roster and f != t.author
         )
         assert out_total == in_total == graph.total_weight() == references
 

@@ -123,6 +123,26 @@ class TestRoundTrip:
         assert "vectors_retweeting.csv" not in manifest["artifacts"]
 
 
+class TestWindowGridEdge:
+    def test_record_just_below_end_lands_in_the_last_window(self, tmp_path, capsys):
+        # end is 5.124919555126976 + 0.7 * 74; the record is one ulp below it,
+        # where (ts - epoch) // width reads 74, past the 74-window grid.
+        (tmp_path / "roster.csv").write_text("user,group\nana,A\n", encoding="utf-8")
+        (tmp_path / "corpus.jsonl").write_text(json.dumps({
+            "id": "1", "user": "ana", "timestamp": 56.92491955512697,
+            "practice": "tagging", "facts": ["x"],
+        }) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([
+            "report", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--roster", str(tmp_path / "roster.csv"), "--out", str(out),
+            "--epoch", "5.124919555126976", "--width-seconds", "0.7", "--weeks", "74",
+        ])
+        assert code == 0, capsys.readouterr().err
+        rows = (out / "vectors_tagging.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == ["A,74,tagging,hashtag,x,1"]
+
+
 class TestStageSubsets:
     @pytest.fixture()
     def inputs(self, tmp_path):

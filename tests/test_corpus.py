@@ -183,8 +183,8 @@ class TestLoadCorpus:
         ]
         result = load_corpus(lines, small_roster, SPAN)
         by_id = {t.id: t for t in result.transactions}
-        assert [f.key for f in by_id["p1"].facts] == ["wahl", "demo"]
-        assert [f.key for f in by_id["p2"].facts] == ["carol"]
+        assert list(by_id["p1"].facts) == ["wahl", "demo"]
+        assert list(by_id["p2"].facts) == ["carol"]
         assert result.skipped["malformed"] == 1  # p3: unknown practice
         assert result.skipped["no_facts"] == 1  # p4: only off-roster mention
 

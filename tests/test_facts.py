@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from culturestream.binning import WindowSpec
-from culturestream.corpus import Fact
 from culturestream.facts import (
     INSTITUTIONNESS_VARIANTS,
     P1_CLAMP_EPS,
@@ -29,13 +28,13 @@ from culturestream.facts import (
 
 
 def _vec(counts):
-    return {Fact("hashtag", k): c for k, c in counts.items()}
+    return dict(counts)
 
 
 def _episode_rows(r, d):
     """One fact's episodes as output rows, burstiness holding the raw weight."""
     return [
-        FactMeasureRow("A", "tagging", Fact("hashtag", "x"), 0, weight, onset, end)
+        FactMeasureRow("A", "tagging", "x", 0, weight, onset, end)
         for onset, end, weight in burst_episodes(r, d)
     ]
 
@@ -49,7 +48,7 @@ class TestCollect:
             ("B", 2, "tagging"): _vec({"c": 9}),
         }
         d, series = collect_fact_series(vectors, spec, "A", "tagging")
-        assert [f.key for f in series] == ["a", "b"]
+        assert list(series) == ["a", "b"]
         assert list(series.values()) == [[2, 0, 1], [1, 0, 0]]
         # d covers the whole group's references; silent window 2 stays 0
         assert d == [3, 0, 1]
@@ -404,7 +403,7 @@ class TestFactMeasures:
     def test_rows_cover_episodes_and_quiet_institutions(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         rows = fact_measures(self._vectors(), spec, ["A", "B"], "tagging")
-        by_key = {(r.group, r.fact.key): r for r in rows}
+        by_key = {(r.group, r.fact): r for r in rows}
         spike = by_key[("A", "spike")]
         assert (spike.onset, spike.end) == (2, 2)
         assert spike.burstiness == 1.0

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from culturestream.binning import WindowSpec, rank_vector
-from culturestream.corpus import Fact
 from culturestream.measures import (
     average_series,
     build_series,
@@ -23,7 +22,7 @@ from culturestream.measures import (
 
 
 def _vec(counts):
-    return {Fact("hashtag", k): c for k, c in counts.items()}
+    return dict(counts)
 
 
 counts_strategy = st.dictionaries(
@@ -171,8 +170,8 @@ class TestRbo:
     def test_ranking_ties_break_by_fact_key(self):
         v1 = _vec({"b": 2, "a": 2})
         v2 = _vec({"a": 2, "b": 2})
-        r1 = [f.key for f in rank_vector(v1)]
-        r2 = [f.key for f in rank_vector(v2)]
+        r1 = rank_vector(v1)
+        r2 = rank_vector(v2)
         assert r1 == r2 == ["a", "b"]
         assert reproduction(v1, v2, 0.9) == 1.0
 

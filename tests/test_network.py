@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from culturestream.corpus import Fact, Transaction
+from culturestream.corpus import Transaction
 from culturestream.errors import DataError
 from culturestream.network import (
     TOTAL,
@@ -24,7 +24,7 @@ ROSTER = {"alice": "A", "bob": "A", "carol": "B", "dave": "B"}
 def _rt(tid, author, targets):
     return Transaction(
         tid, author, ROSTER[author], 1.0, "retweeting",
-        tuple(Fact("retweetee", t) for t in targets),
+        tuple(targets),
     )
 
 
@@ -37,14 +37,14 @@ class TestBuildGraph:
     def test_self_references_and_strangers_dropped(self):
         txs = [_rt("1", "alice", ["alice"]),
                Transaction("2", "alice", "A", 1.0, "retweeting",
-                           (Fact("retweetee", "mallory"),))]
+                           ("mallory",))]
         graph = build_graph(txs, "retweeting", ROSTER)
         assert graph.arcs == {}
 
     def test_other_practices_and_kinds_ignored(self):
         txs = [
-            Transaction("1", "alice", "A", 1.0, "tagging", (Fact("hashtag", "bob"),)),
-            Transaction("2", "alice", "A", 1.0, "mentioning", (Fact("mentionee", "bob"),)),
+            Transaction("1", "alice", "A", 1.0, "tagging", ("bob",)),
+            Transaction("2", "alice", "A", 1.0, "mentioning", ("bob",)),
         ]
         graph = build_graph(txs, "retweeting", ROSTER)
         assert graph.arcs == {}

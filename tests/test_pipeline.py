@@ -157,6 +157,7 @@ class TestValidation:
             (dict(inst_variant="inverse"), "variant"),
             (dict(practices="tagging,blogging"), "practice"),
             (dict(markers="9:late"), "marker"),
+            (dict(practices="tagging,tagging"), "repeated practice"),
         ],
     )
     def test_invalid_configuration_rejected(self, tmp_path, patch, message):
@@ -164,6 +165,22 @@ class TestValidation:
         values.update(patch)
         with pytest.raises(ConfigError, match=message):
             build_run_config(values).validate()
+
+
+class TestMalformedSample:
+    def test_sample_is_logged_and_stays_out_of_the_artifacts(self, tmp_path, caplog):
+        values = _small_inputs(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus.write_text("".join(lines[:2] + ["not json\n"] + lines[2:]), encoding="utf-8")
+        with caplog.at_level("WARNING", logger="culturestream.pipeline"):
+            manifest = run_pipeline(build_run_config(values))
+        [message] = [r.getMessage() for r in caplog.records if "malformed" in r.getMessage()]
+        assert message.startswith("malformed records: 1; line 3: Expecting value")
+        assert manifest["ingest"]["skipped"]["malformed"] == 1
+        for path in (tmp_path / "out").iterdir():
+            assert "Expecting value" not in path.read_text(encoding="utf-8")
+            assert "line 3" not in path.read_text(encoding="utf-8")
 
 
 class TestRunPipeline:
@@ -224,11 +241,10 @@ class TestRunPipeline:
     def test_stage_subsets_limit_artifacts(self, tmp_path):
         values = _small_inputs(tmp_path)
         config = build_run_config(values)
-        manifest = run_pipeline(config, stages=frozenset({"vectors"}), write_manifest=False)
+        manifest = run_pipeline(config, stages=frozenset({"vectors"}))
         assert set(manifest["artifacts"]) == {
             "vectors_tagging.csv", "vectors_retweeting.csv", "vectors_mentioning.csv"
         }
-        assert not (config.out_dir / "manifest.json").exists()
 
     def test_all_stages_constant_covers_every_stage(self):
         assert ALL_STAGES == {"ingest", "vectors", "series", "facts", "network"}

@@ -80,13 +80,13 @@ class TestDeterminism:
 class TestMechanisms:
     def test_alpha_one_makes_every_hashtag_fresh(self):
         txs, _ = generate(_config(alpha=1.0, practices=("tagging",), rate=5.0))
-        keys = [t.facts[0].key for t in txs]
+        keys = [t.facts[0] for t in txs]
         assert len(keys) == len(set(keys))
         assert all(k.startswith("h") for k in keys)
 
     def test_low_alpha_reuses_existing_facts(self):
         txs, _ = generate(_config(alpha=0.05, practices=("tagging",), rate=10.0))
-        keys = [t.facts[0].key for t in txs]
+        keys = [t.facts[0] for t in txs]
         assert len(set(keys)) < len(keys) / 2
 
     def test_full_homophily_never_crosses_groups(self):
@@ -94,8 +94,8 @@ class TestMechanisms:
         txs, roster = generate(config)
         assert txs
         for t in txs:
-            assert roster[t.facts[0].key] == t.group
-            assert t.facts[0].key != t.author
+            assert roster[t.facts[0]] == t.group
+            assert t.facts[0] != t.author
         graph = build_graph(txs, "retweeting", roster)
         assert homophily(graph)["TOTAL"] == 1.0
 
@@ -103,14 +103,14 @@ class TestMechanisms:
         txs, _ = generate(_config(hom=0.0, practices=("retweeting",), rate=5.0))
         assert txs
         for t in txs:
-            assert t.facts[0].key != t.author
+            assert t.facts[0] != t.author
 
     def test_warmup_facts_enter_circulation(self):
         config = _config(
             alpha=0.01, practices=("tagging",), rate=20.0, warmup_facts=5, warmup_tokens=10
         )
         txs, _ = generate(config)
-        keys = {t.facts[0].key for t in txs}
+        keys = {t.facts[0] for t in txs}
         assert any(k.startswith("w") for k in keys)
 
     def test_injection_dominates_its_window(self):
@@ -129,7 +129,7 @@ class TestMechanisms:
         for t in txs:
             w = spec.index_of(t.timestamp)
             per_window[w][1] += 1
-            if t.facts[0].key == "storm":
+            if t.facts[0] == "storm":
                 per_window[w][0] += 1
         assert per_window[2][0] > per_window[2][1] / 2
         assert per_window[2][0] > per_window[1][0]
