@@ -21,7 +21,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import pipeline, selftest, synth
+from . import pipeline
 from .corpus import parse_timestamp, write_transactions_jsonl
 from .errors import ConfigError, DataError
 
@@ -94,7 +94,7 @@ def _parse_groups(text: str) -> list[tuple[str, int]]:
     return groups
 
 
-def _parse_injection(text: str) -> synth.BurstInjection:
+def _parse_injection(text: str, synth):
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(f"--burst: expected FACT:ONSET:END:MULTIPLIER, got {text!r}")
@@ -105,6 +105,8 @@ def _parse_injection(text: str) -> synth.BurstInjection:
 
 
 def _cmd_synth(args) -> int:
+    # synth and selftest need numpy, whose import costs every run about 90 ms.
+    from . import synth
     try:
         config = synth.SynthConfig(
             groups=_parse_groups(args.groups),
@@ -113,7 +115,7 @@ def _cmd_synth(args) -> int:
             alpha=args.alpha,
             hom=args.hom,
             seed=args.seed,
-            burst_injections=[_parse_injection(b) for b in (args.burst or [])],
+            burst_injections=[_parse_injection(b, synth) for b in (args.burst or [])],
             warmup_facts=args.warmup_facts,
             warmup_tokens=args.warmup_tokens,
             epoch=parse_timestamp(args.epoch),
@@ -134,6 +136,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
     try:
         results = selftest.run(args.only or None)
     except ValueError as exc:

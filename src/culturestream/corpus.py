@@ -266,7 +266,8 @@ def load_corpus(
         records_read == distinct emitted record ids + skipped_total
 
     Lines may be bytes: each is decoded as UTF-8 on its own, a leading byte
-    order mark is dropped, and a line that does not decode is malformed.
+    order mark is dropped (a line holding only one is blank), and a line that
+    does not decode is malformed.
     """
     start, end = window
     result = IngestResult()
@@ -295,6 +296,9 @@ def load_corpus(
             ts = parse_timestamp(rec["timestamp"])
         # ValueError covers JSONDecodeError and UnicodeDecodeError.
         except (KeyError, ValueError, RecursionError) as exc:
+            if not stripped:  # only a byte order mark: a blank line
+                result.records_read -= 1
+                continue
             result.malformed(line_no, f"missing field {exc}" if isinstance(exc, KeyError)
                              else str(exc))
             continue

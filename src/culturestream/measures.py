@@ -53,7 +53,7 @@ def focus(vector: CultureVector) -> float:
 
 
 def pair_similarity(v_i: CultureVector, v_j: CultureVector) -> float:
-    """Cosine of two count vectors aligned on the union of their facts."""
+    """Cosine of two count vectors on the union of their facts; build_series' reference."""
     if not v_i or not v_j:
         return 0.0
     dot = 0.0
@@ -66,17 +66,6 @@ def pair_similarity(v_i: CultureVector, v_j: CultureVector) -> float:
     norm_i = math.sqrt(sum(c * c for c in v_i.values()))
     norm_j = math.sqrt(sum(c * c for c in v_j.values()))
     return dot / (norm_i * norm_j)
-
-
-def group_similarity(own: CultureVector, others: Sequence[CultureVector]) -> Optional[float]:
-    """Unweighted mean cosine of one group's vector against the other active groups'.
-
-    None when no other group is active (scores are deliberately not weighted
-    by group size or volume).
-    """
-    if not others:
-        return None
-    return sum(pair_similarity(own, vec) for vec in others) / len(others)
 
 
 def rbo_extended(keys1: Sequence, keys2: Sequence, p: float) -> float:
@@ -135,11 +124,8 @@ def build_series(
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    by_window: dict[int, list[tuple[str, CultureVector]]] = {}
     if measure == "similarity":
-        for (g, w, p), vec in vectors.items():
-            if p == practice:
-                by_window.setdefault(w, []).append((g, vec))
+        return _similarity_series(vectors, spec, practice, groups)
     out: dict[str, Series] = {}
     for group in groups:
         cells = [vectors.get((group, w, practice)) for w in range(1, spec.count + 1)]
@@ -153,8 +139,6 @@ def build_series(
         for w, vec in enumerate(cells, 1):
             if vec is None:
                 value = None
-            elif measure == "similarity":
-                value = group_similarity(vec, [v for g, v in by_window[w] if g != group])
             elif measure == "focus":
                 value = focus(vec)
             else:  # frequency
@@ -162,6 +146,43 @@ def build_series(
             points.append((w, value))
         out[group] = points
     return out
+
+
+def _similarity_series(vectors, spec, practice, groups) -> dict[str, Series]:
+    """build_series for similarity, one window at a time from a fact -> cells index.
+
+    Dot products are summed as integers, only for pairs of cells that share a
+    fact, and each norm is computed once.  A group's mean adds the cosines in
+    the window's ``vectors`` order, as averaging ``pair_similarity`` does, so
+    the two are bit-identical while every dot stays below 2**53; a pair with
+    no shared fact adds nothing, which is the same as adding 0.0.
+    """
+    by_window: dict[int, dict[str, CultureVector]] = {}
+    for (g, w, p), vec in vectors.items():
+        if p == practice:
+            by_window.setdefault(w, {})[g] = vec
+    score: dict[tuple[str, int], float] = {}
+    for w, cells in by_window.items():
+        n = len(cells)
+        if n < 2:  # a lone active group has no score
+            continue
+        postings: dict[str, list[tuple[int, int]]] = {}
+        dots = [[0] * n for _ in range(n)]
+        for i, vec in enumerate(cells.values()):
+            for fact, count in vec.items():
+                posting = postings.setdefault(fact, [])
+                for j, other in posting:
+                    dots[i][j] = dots[j][i] = dots[i][j] + count * other
+                posting.append((i, count))
+        norms = [math.sqrt(sum(c * c for c in vec.values())) for vec in cells.values()]
+        for g, row, norm in zip(cells, dots, norms):
+            total = 0.0
+            for dot, other in zip(row, norms):
+                if dot:
+                    total += dot / (norm * other)
+            score[(g, w)] = total / (n - 1)
+    windows = range(1, spec.count + 1)
+    return {group: [(w, score.get((group, w))) for w in windows] for group in groups}
 
 
 def average_series(series_by_group: dict[str, Series]) -> Average:

@@ -84,8 +84,11 @@ def build_follow_graph(
     return graph, skipped
 
 
-def load_follow_edges(lines: Iterable[str]) -> list[tuple[str, str]]:
-    """Parse a follow edge CSV with header ``source,target``."""
+def load_follow_edges(lines: Iterable[str]) -> tuple[list[tuple[str, str]], int]:
+    """Parse a follow edge CSV with header ``source,target``; returns (edges, unparseable).
+
+    A blank line is ignored; a row without two valid handles (``,`` included) is unparseable.
+    """
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -94,14 +97,15 @@ def load_follow_edges(lines: Iterable[str]) -> list[tuple[str, str]]:
     if [h.strip().lower() for h in header[:2]] != ["source", "target"]:
         raise DataError(f"follow edges must start with header 'source,target', got {header!r}")
     edges = []
+    unparseable = 0
     for row in reader:
-        if not row or not "".join(row).strip():
+        if len(row) < 2 and not "".join(row).strip():
             continue
         try:
             edges.append((normalize_handle(row[0]), normalize_handle(row[1])))
         except (ValueError, IndexError):
-            continue
-    return edges
+            unparseable += 1
+    return edges, unparseable
 
 
 def homophily_by_node(graph: PracticeGraph) -> dict[str, float]:

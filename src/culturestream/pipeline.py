@@ -167,7 +167,7 @@ def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     base = Path(path).parent
     path_keys = {s.metadata["key"] for s in SETTINGS if s.metadata["path"]}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -278,6 +278,11 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     groups = sorted(set(roster.values()))
     spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
     vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
+    # Each practice's cells, split once, in binning order and with the same keys.
+    by_practice: dict[str, dict] = {practice: {} for practice in config.practices}
+    for key, vec in vectors.items():
+        if (split := by_practice.get(key[2])) is not None:
+            split[key] = vec
 
     artifacts: dict[str, int] = {}
     status: dict[str, str] = {}
@@ -293,20 +298,19 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     if "ingest" in stages:
         emit("ingest_report.csv", write_ingest_report, ingest)
 
-    for practice in config.practices:
+    for practice, cells in by_practice.items():
         try:
             if "vectors" in stages:
-                practice_vectors = {k: v for k, v in vectors.items() if k[2] == practice}
-                emit(f"vectors_{practice}.csv", binning.write_vectors_csv, practice_vectors)
+                emit(f"vectors_{practice}.csv", binning.write_vectors_csv, cells)
             if "series" in stages:
                 for measure in measures.MEASURES:
                     per_group = measures.build_series(
-                        vectors, spec, practice, groups, measure, config.rbo_p
+                        cells, spec, practice, groups, measure, config.rbo_p
                     )
                     avg = measures.average_series(per_group) if per_group else None
                     emit(f"{measure}_{practice}.csv", measures.write_series_csv, per_group, avg)
             if "facts" in stages:
-                rows = facts.fact_measures(vectors, spec, groups, practice, config.inst_variant)
+                rows = facts.fact_measures(cells, spec, groups, practice, config.inst_variant)
                 emit(f"facts_{practice}.csv", facts.write_fact_csv, rows)
             if "network" in stages and practice in USER_PRACTICES:
                 emit_graph(practice, network.build_graph(ingest.transactions, practice, roster))
@@ -318,10 +322,11 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     if "network" in stages and config.follow_edges is not None:
         try:
             with open(config.follow_edges, encoding="utf-8-sig") as fh:
-                edges = network.load_follow_edges(fh)
+                edges, unparseable = network.load_follow_edges(fh)
             graph, skipped_edges = network.build_follow_graph(edges, roster)
-            if skipped_edges:
-                logger.info("skipped %d follow edges outside the roster", skipped_edges)
+            if unparseable or skipped_edges:
+                logger.info("skipped %d unparseable follow rows and %d self-loops or edges "
+                            "outside the roster", unparseable, skipped_edges)
             emit_graph("following", graph)
             status["following"] = "ok"
         except Exception as exc:

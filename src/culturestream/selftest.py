@@ -69,6 +69,14 @@ def check_similarity_known_pair() -> None:
     # (1,1)·(1,0) / (sqrt(2) * 1) = 1/sqrt(2)
     value = measures.pair_similarity({"a": 1, "b": 1}, {"a": 1})
     assert _approx(value, COSINE_AB_A), value
+    # A three-group window: the indexed series equals the pairwise means exactly.
+    cells = {"A": {"a": 1, "b": 1}, "B": {"a": 1}, "C": {"b": 3, "c": 2}}
+    series = measures.build_series({(g, 1, "t"): v for g, v in cells.items()},
+                                   WindowSpec(0.0, 1, 1.0), "t", list(cells), "similarity")
+    for g, vec in cells.items():
+        pairs = [measures.pair_similarity(vec, v) for h, v in cells.items() if h != g]
+        assert series[g] == [(1, sum(pairs) / 2)], (g, series[g])
+    assert _approx(series["B"][0][1], COSINE_AB_A / 2), series
 
 
 def check_similarity_needs_other_groups() -> None:

@@ -257,7 +257,8 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
         assert out_total == in_total == graph.total_weight() == references
 
     with open(fixtures_dir / "demo_follow.csv", encoding="utf-8") as fh:
-        edges = load_follow_edges(fh)
+        edges, unparseable = load_follow_edges(fh)
+    assert unparseable == 0
     graph, _ = build_follow_graph(edges, roster)
     out_total = sum(weight for (src, _), weight in graph.arcs.items() if src in graph.nodes())
     in_total = sum(weight for _, weight in graph.arcs.items())

@@ -188,3 +188,24 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "1/1 checks passed" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["report", "ingest"])
+def test_run_commands_import_neither_numpy_nor_synth_nor_selftest(command, fixtures_dir, tmp_path):
+    src = str(Path(culturestream.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import sys\n"
+        "from culturestream.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in ('numpy', 'culturestream.synth', 'culturestream.selftest')"
+        " if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, command, "--config", str(fixtures_dir / "demo.cfg"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

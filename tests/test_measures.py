@@ -13,7 +13,6 @@ from culturestream.measures import (
     average_series,
     build_series,
     focus,
-    group_similarity,
     pair_similarity,
     rbo_extended,
     reproduction,
@@ -89,12 +88,21 @@ class TestPairSimilarity:
 
 
 class TestGroupSimilarity:
+    """A group's similarity score in build_series: mean cosine against the other active groups."""
+
     def test_mean_over_other_active_groups(self):
-        own = _vec({"a": 1, "b": 1})
-        others = [_vec({"a": 1}), _vec({"c": 4})]
+        spec = WindowSpec(epoch=0.0, count=1, width=10.0)
+        vectors = {
+            ("A", 1, "tagging"): _vec({"a": 1, "b": 1}),
+            ("B", 1, "tagging"): _vec({"a": 1}),
+            ("C", 1, "tagging"): _vec({"c": 4}),
+            ("B", 1, "mentioning"): _vec({"b": 9}),
+        }
+        series = build_series(vectors, spec, "tagging", ["A", "B", "C"], "similarity")
         # mean of cos(A,B)=1/sqrt(2) and cos(A,C)=0
         expected = 0.7071067811865475 / 2
-        assert group_similarity(own, others) == pytest.approx(expected, abs=1e-12)
+        assert series["A"] == [(1, pytest.approx(expected, abs=1e-12))]
+        assert series["C"] == [(1, 0.0)]
 
     def test_inactive_group_is_none(self):
         spec = WindowSpec(epoch=0.0, count=1, width=10.0)
@@ -109,9 +117,36 @@ class TestGroupSimilarity:
             ("B", 2, "tagging"): _vec({"a": 1}),
             ("B", 1, "mentioning"): _vec({"a": 1}),
         }
-        series = build_series(vectors, spec, "tagging", ["A"], "similarity")
-        assert series["A"][0] == (1, None)
-        assert group_similarity(_vec({"a": 1}), []) is None
+        series = build_series(vectors, spec, "tagging", ["A", "B"], "similarity")
+        assert series == {"A": [(1, None), (2, None)], "B": [(1, None), (2, None)]}
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from("ABCDEF"), st.integers(min_value=1, max_value=3)),
+            st.dictionaries(
+                st.sampled_from("abcdefghij"),
+                st.one_of(st.integers(1, 5), st.integers(1, 10**6)),
+                min_size=1,
+                max_size=6,
+            ),
+            max_size=14,
+        )
+    )
+    def test_series_equals_pairwise_mean_bit_for_bit(self, cells):
+        """Equal with == to the mean of pair_similarity over the window's other cells, in order."""
+        spec = WindowSpec(epoch=0.0, count=3, width=10.0)
+        vectors = {(g, w, "tagging"): vec for (g, w), vec in cells.items()}
+        groups = list("ABCDEF")
+        series = build_series(vectors, spec, "tagging", groups, "similarity")
+        for group in groups:
+            for w, value in series[group]:
+                own = cells.get((group, w))
+                others = [v for (g, ww), v in cells.items() if ww == w and g != group]
+                if own is None or not others:
+                    assert value is None
+                else:
+                    expected = sum(pair_similarity(own, v) for v in others) / len(others)
+                    assert value == expected
 
 
 def _rbo_reference(keys1, keys2, p):

@@ -71,8 +71,17 @@ class TestFollowGraph:
             load_follow_edges([])
 
     def test_edge_list_normalizes_handles(self):
-        edges = load_follow_edges(["source,target\n", "@Alice,BOB\n", "\n"])
+        edges, unparseable = load_follow_edges(["source,target\n", "@Alice,BOB\n", "\n"])
         assert edges == [("alice", "bob")]
+        assert unparseable == 0
+
+    def test_edge_list_counts_unparseable_rows(self):
+        lines = ["source,target\n", "onlyone\n", ",\n", "alice, \n", "bo b,carol\n",
+                 "alice,bob\n", "  \n", "\n"]
+        edges, unparseable = load_follow_edges(lines)
+        assert edges == [("alice", "bob")]
+        # one column, two empty handles, an empty target, an inner space; blank lines ignored
+        assert unparseable == 4
 
 
 class TestStats:

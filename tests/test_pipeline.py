@@ -273,6 +273,39 @@ class TestByteOrderMark:
         assert manifest["practices"]["following"] == "ok"
         assert manifest["artifacts"]["edges_following.csv"] == 2
 
+    @pytest.mark.parametrize("first_line", ["# a run\n", ""])
+    def test_config_file_with_bom(self, tmp_path, first_line):
+        values = _small_inputs(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        body = first_line + "".join(f"{key} = {value}\n" for key, value in values.items())
+        cfg.write_bytes(self.BOM + body.encode("utf-8"))
+        assert parse_config_file(cfg) == values
+        assert main(["report", "--config", str(cfg)]) == 0
+
+    def test_corpus_line_holding_only_a_bom_is_blank(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        clean = corpus.read_bytes()
+        corpus.write_bytes(self.BOM + b"\n" + clean + self.BOM + b"  \r\n")
+        counts = run_ingest(build_run_config(values))
+        assert counts["records_read"] == clean.count(b"\n")
+        assert counts["skipped"]["malformed"] == 0
+
+
+class TestFollowEdgeLog:
+    def test_unparseable_rows_and_self_loops_are_counted_in_one_line(self, tmp_path, caplog):
+        values = _small_inputs(tmp_path)
+        follow = tmp_path / "follow.csv"
+        follow.write_text("source,target\na000,a001\nonlyone\n,\na000,a000\nzed,a000\n")
+        values["follow_edges"] = str(follow)
+        with caplog.at_level("INFO", logger="culturestream.pipeline"):
+            manifest = run_pipeline(build_run_config(values))
+        assert manifest["artifacts"]["edges_following.csv"] == 1
+        [line] = [r.getMessage() for r in caplog.records if "follow" in r.getMessage()]
+        assert line == (
+            "skipped 2 unparseable follow rows and 2 self-loops or edges outside the roster"
+        )
+
 
 class TestHostileCorpus:
     def test_bom_and_non_utf8_lines_do_not_stop_the_run(self, tmp_path):
