@@ -7,7 +7,9 @@ fact kinds they reference:
     tagging    -> hashtag
     retweeting -> retweetee (a user handle)
     mentioning -> mentionee (a user handle)
-    following  -> followee  (a user handle)
+
+Following is not a stream practice: that graph is read from the follow edge
+list alone, so a corpus record claiming it is malformed.
 
 Two line-delimited JSON record schemas are accepted (one object per line):
 
@@ -33,14 +35,11 @@ from typing import Iterable, Optional
 
 from .errors import DataError
 
-PRACTICES = ("tagging", "retweeting", "mentioning", "following")
-
-KIND_FOR_PRACTICE = {
-    "tagging": "hashtag",
-    "retweeting": "retweetee",
-    "mentioning": "mentionee",
-    "following": "followee",
-}
+# The stream practices, in output order, and the fact kind each references.
+KIND_FOR_PRACTICE = {"tagging": "hashtag", "retweeting": "retweetee", "mentioning": "mentionee"}
+PRACTICES = tuple(KIND_FOR_PRACTICE)
+# Practices whose facts are user handles: each also folds into a graph.
+USER_PRACTICES = tuple(p for p in PRACTICES if p != "tagging")
 
 # Canonical skip reasons, in report order.
 SKIP_REASONS = ("malformed", "duplicate_id", "unknown_author", "outside_window", "no_facts")
@@ -78,7 +77,7 @@ def normalize_handle(raw: str) -> str:
     handle = raw.strip().lstrip("@").lower()
     if not handle:
         raise ValueError("empty user handle")
-    if any(c.isspace() for c in handle):
+    if handle.split() != [handle]:
         raise ValueError(f"whitespace in user handle: {raw!r}")
     return handle
 
@@ -87,16 +86,6 @@ def fold_hashtag(token: str) -> str:
     """ASCII-fold and lowercase a hashtag token; may return ''."""
     folded = unicodedata.normalize("NFKD", token).encode("ascii", "ignore").decode("ascii")
     return folded.lower()
-
-
-def _dedupe(keys: Iterable[str]) -> list[str]:
-    seen = set()
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen.add(k)
-            out.append(k)
-    return out
 
 
 def extract_facts(
@@ -121,7 +110,7 @@ def extract_facts(
 
     rt_matches = list(_RT_RE.finditer(text))
     rt_spans = [m.span() for m in rt_matches]
-    retweetees = _dedupe(m.group(1).lower() for m in rt_matches)
+    retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
 
     mentionees = []
     for m in _MENTION_RE.finditer(text):
@@ -129,7 +118,7 @@ def extract_facts(
             continue
         mentionees.append(m.group(1).lower())
     rt_set = set(retweetees)
-    mentionees = [u for u in _dedupe(mentionees) if u not in rt_set]
+    mentionees = [u for u in dict.fromkeys(mentionees) if u not in rt_set]
 
     if restrict_to_roster:
         retweetees = [u for u in retweetees if u in roster]
@@ -143,7 +132,7 @@ def extract_facts(
         tag = fold_hashtag(m.group(1))
         if tag:
             hashtags.append(tag)
-    hashtags = _dedupe(hashtags)
+    hashtags = list(dict.fromkeys(hashtags))
 
     return {"tagging": hashtags, "retweeting": retweetees, "mentioning": mentionees}
 
@@ -246,7 +235,7 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
             if restrict_to_roster and key not in roster:
                 continue
         cleaned.append(key)
-    return _dedupe(cleaned)
+    return list(dict.fromkeys(cleaned))
 
 
 def load_corpus(
@@ -349,49 +338,6 @@ def load_corpus(
     return result
 
 
-def validate_transactions(
-    transactions: Iterable[Transaction],
-    roster: dict[str, str],
-    window: tuple[float, float],
-) -> list[str]:
-    """Check every emitted transaction against the stream contract.
-
-    Returns a list of violation messages (empty when the stream is clean).
-    """
-    start, end = window
-    violations = []
-    rt_by_id: dict[str, set[str]] = {}
-    mention_by_id: dict[str, set[str]] = {}
-
-    for t in transactions:
-        where = f"transaction {t.id}/{t.practice}"
-        if not t.facts:
-            violations.append(f"{where}: empty facts")
-        if roster.get(t.author) != t.group:
-            violations.append(f"{where}: author/group not in roster")
-        if not (start <= t.timestamp < end):
-            violations.append(f"{where}: timestamp outside window")
-        if t.practice not in PRACTICES:
-            violations.append(f"{where}: unknown practice")
-        for key in t.facts:
-            if not key or key != key.lower() or key.startswith(("#", "@")):
-                violations.append(f"{where}: unnormalized fact key {key!r}")
-        if len(set(t.facts)) != len(t.facts):
-            violations.append(f"{where}: duplicate facts within transaction")
-        if t.practice == "retweeting":
-            rt_by_id.setdefault(t.id, set()).update(t.facts)
-        elif t.practice == "mentioning":
-            mention_by_id.setdefault(t.id, set()).update(t.facts)
-
-    for rec_id, rts in rt_by_id.items():
-        overlap = rts & mention_by_id.get(rec_id, set())
-        if overlap:
-            violations.append(
-                f"record {rec_id}: {sorted(overlap)} counted as both retweetee and mentionee"
-            )
-    return violations
-
-
 def fmt(value: Optional[float]) -> str:
     """A float cell: ``%.10g``, empty for an undefined value."""
     return "" if value is None else format(value, ".10g")
@@ -415,20 +361,16 @@ def write_ingest_report(result: IngestResult, path) -> int:
     )
 
 
+def transaction_line(t: Transaction) -> str:
+    """One transaction as a record of the pre-extracted schema, without newline."""
+    return json.dumps(
+        {"id": t.id, "user": t.author, "timestamp": t.timestamp, "practice": t.practice,
+         "facts": list(t.facts)},
+        sort_keys=True,
+    )
+
+
 def write_transactions_jsonl(transactions: Iterable[Transaction], path) -> None:
     """Write a stream in the pre-extracted record schema, one object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for t in transactions:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": t.id,
-                        "user": t.author,
-                        "timestamp": t.timestamp,
-                        "practice": t.practice,
-                        "facts": list(t.facts),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(transaction_line(t) + "\n" for t in transactions)

@@ -22,18 +22,15 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .corpus import Transaction, fmt, normalize_handle, write_csv
+from .corpus import USER_PRACTICES, Transaction, fmt, normalize_handle, write_csv
 from .errors import DataError
 
 TOTAL = "TOTAL"
 
-NETWORK_PRACTICES = ("retweeting", "mentioning", "following")
-
 
 @dataclass
 class PracticeGraph:
-    practice: str
-    group_of: dict[str, str]  # roster restricted to this graph's universe
+    group_of: dict[str, str]  # the roster, shared by every graph
     arcs: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def nodes(self) -> set[str]:
@@ -51,10 +48,14 @@ class PracticeGraph:
 def build_graph(
     transactions: Iterable[Transaction], practice: str, roster: dict[str, str]
 ) -> PracticeGraph:
-    """Fold user-reference transactions of one practice into a weighted graph."""
-    if practice not in NETWORK_PRACTICES:
+    """Fold user-reference transactions of one practice into a weighted graph.
+
+    Only the stream's user practices fold here; the following graph comes
+    from ``build_follow_graph``.
+    """
+    if practice not in USER_PRACTICES:
         raise ValueError(f"no user graph for practice {practice!r}")
-    graph = PracticeGraph(practice, dict(roster))
+    graph = PracticeGraph(roster)
     for t in transactions:
         if t.practice != practice:
             continue
@@ -74,7 +75,7 @@ def build_follow_graph(
     Edges with unknown endpoints or self-loops are skipped; repeats collapse
     to weight 1.
     """
-    graph = PracticeGraph("following", dict(roster))
+    graph = PracticeGraph(roster)
     skipped = 0
     for src, tgt in edges:
         if src == tgt or src not in roster or tgt not in roster:

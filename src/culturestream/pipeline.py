@@ -30,6 +30,8 @@ from typing import Optional
 
 from . import binning, facts, measures, network
 from .corpus import (
+    PRACTICES,
+    USER_PRACTICES,
     load_corpus,
     load_roster,
     parse_timestamp,
@@ -39,9 +41,6 @@ from .corpus import (
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
-
-TEMPORAL_PRACTICES = ("tagging", "retweeting", "mentioning")
-USER_PRACTICES = ("retweeting", "mentioning")
 
 ALL_STAGES = frozenset({"ingest", "vectors", "series", "facts", "network"})
 
@@ -115,7 +114,7 @@ class RunConfig:
     )
     practices: tuple[str, ...] = _setting(
         "practices", _parse_practices, "comma-separated practice subset",
-        default=TEMPORAL_PRACTICES,
+        default=PRACTICES,
     )
     markers: list[tuple[int, str]] = _setting(
         "markers", _parse_markers, "event markers, comma-separated window:label",
@@ -147,16 +146,13 @@ class RunConfig:
         if self.inst_variant not in facts.INSTITUTIONNESS_VARIANTS:
             raise ConfigError(f"unknown institutionness variant {self.inst_variant!r}")
         for practice in self.practices:
-            if practice not in TEMPORAL_PRACTICES:
+            if practice not in PRACTICES:
                 raise ConfigError(f"unknown practice {practice!r}")
         if len(set(self.practices)) != len(self.practices):
             raise ConfigError(f"repeated practice in {', '.join(self.practices)}")
         for window, _ in self.markers:
             if not (1 <= window <= self.count):
                 raise ConfigError(f"marker window {window} outside 1..{self.count}")
-
-    def span(self) -> tuple[float, float]:
-        return (self.epoch, self.epoch + self.width * self.count)
 
 
 SETTINGS = fields(RunConfig)
@@ -232,9 +228,11 @@ def _load(config: RunConfig):
     Nothing is written before the configuration validates and both inputs
     have been read.  The corpus is read as bytes and each line decoded on its
     own, so a byte order mark is ignored and a line that is not UTF-8 counts
-    as malformed.  Returns (roster, ingest result, output directory).
+    as malformed.  Records are kept inside the window grid's span.  Returns
+    (window grid, roster, ingest result, output directory).
     """
     config.validate()
+    spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
     with open(config.roster, encoding="utf-8-sig") as fh:
         roster = load_roster(fh)
     reserved = sorted(set(roster.values()) & {measures.AVERAGE, network.TOTAL})
@@ -244,7 +242,7 @@ def _load(config: RunConfig):
         ingest = load_corpus(
             fh,
             roster,
-            config.span(),
+            (spec.epoch, spec.end),
             restrict_to_roster=config.restrict_to_roster,
             include_retweet_hashtags=config.include_retweet_hashtags,
         )
@@ -255,7 +253,7 @@ def _load(config: RunConfig):
         )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return roster, ingest, out
+    return spec, roster, ingest, out
 
 
 def _ingest_counts(ingest) -> dict:
@@ -272,11 +270,10 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     A failure inside one practice is recorded in the manifest and does not
     disturb the other practices' artifacts.
     """
-    roster, ingest, out = _load(config)
+    spec, roster, ingest, out = _load(config)
     if not ingest.transactions:
         logger.warning("corpus produced no transactions; artifacts will be header-only")
     groups = sorted(set(roster.values()))
-    spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
     vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
     # Each practice's cells, split once, in binning order and with the same keys.
     by_practice: dict[str, dict] = {practice: {} for practice in config.practices}
@@ -362,7 +359,7 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
 
 def run_ingest(config: RunConfig) -> dict:
     """Ingest only: normalized transaction stream plus the skip report."""
-    _, ingest, out = _load(config)
+    _, _, ingest, out = _load(config)
     write_transactions_jsonl(ingest.transactions, out / "transactions.jsonl")
     write_ingest_report(ingest, out / "ingest_report.csv")
     return _ingest_counts(ingest)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import facts, measures, synth
 from .binning import WindowSpec, bin_transactions, rank_vector
-from .corpus import Transaction, load_corpus
+from .corpus import Transaction, load_corpus, transaction_line
 
 # Hand-computed reference values (see the matching checks for the arithmetic).
 FOCUS_3_1 = 0.18872187554086717
@@ -271,18 +271,7 @@ def check_ingest_conservation() -> None:
         groups=[("A", 4), ("B", 4)], windows=2, rate=1.5, alpha=0.3, hom=0.5, seed=11
     )
     transactions, roster = synth.generate(config)
-    lines = [
-        json.dumps(
-            {
-                "id": t.id,
-                "user": t.author,
-                "timestamp": t.timestamp,
-                "practice": t.practice,
-                "facts": list(t.facts),
-            }
-        )
-        for t in transactions
-    ]
+    lines = [transaction_line(t) for t in transactions]
     lines.append("this is not json")
     lines.append(json.dumps({"id": "dup", "user": "a000", "timestamp": 1.0,
                              "practice": "tagging", "facts": ["x"]}))

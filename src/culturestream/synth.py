@@ -31,9 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Transaction, write_csv
-
-GENERATED_PRACTICES = ("tagging", "retweeting", "mentioning")
+from .corpus import PRACTICES, Transaction, write_csv
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class SynthConfig:
     burst_injections: list[BurstInjection] = field(default_factory=list)
     warmup_facts: int = 0  # pre-existing background facts
     warmup_tokens: int = 1  # initial references per pre-existing fact
-    practices: tuple[str, ...] = GENERATED_PRACTICES
+    practices: tuple[str, ...] = PRACTICES
     epoch: float = 0.0
     width: float = 7 * 86400.0
 
@@ -71,9 +69,9 @@ class SynthConfig:
             raise ValueError("need windows >= 1 and rate >= 0")
         if self.warmup_facts < 0 or self.warmup_tokens < 1:
             raise ValueError("need warmup_facts >= 0 and warmup_tokens >= 1")
-        bad = [p for p in self.practices if p not in GENERATED_PRACTICES]
+        bad = [p for p in self.practices if p not in PRACTICES]
         if bad or not self.practices:
-            raise ValueError(f"practices must be a non-empty subset of {GENERATED_PRACTICES}")
+            raise ValueError(f"practices must be a non-empty subset of {PRACTICES}")
 
     def roster(self) -> dict[str, str]:
         members = {}

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from culturestream.corpus import (
     MALFORMED_SAMPLE,
     IngestResult,
+    Transaction,
     extract_facts,
     fold_hashtag,
     load_corpus,
     load_roster,
     normalize_handle,
     parse_timestamp,
-    validate_transactions,
     write_ingest_report,
 )
 from culturestream.errors import DataError
+from stream_contract import validate_transactions
 
 
 class TestHandleNormalization:
@@ -31,8 +32,9 @@ class TestHandleNormalization:
     def test_rejects_empty_and_whitespace(self):
         with pytest.raises(ValueError):
             normalize_handle("@")
-        with pytest.raises(ValueError):
-            normalize_handle("two words")
+        for handle in ("two words", "a\u00a0b", "a\u2003b", "a\x1cb"):
+            with pytest.raises(ValueError):
+                normalize_handle(handle)
 
 
 class TestHashtagFolding:
@@ -110,6 +112,9 @@ class TestTimestamps:
 
     def test_iso_with_zulu(self):
         assert parse_timestamp("2013-07-20T00:00:00Z") == 1374278400.0
+        # Forms that datetime.fromisoformat accepts from Python 3.11 on.
+        assert parse_timestamp("20130720T000000Z") == 1374278400.0
+        assert parse_timestamp("2013-07-20T00:00:00.1+00:00") == 1374278400.1
 
     def test_naive_iso_read_as_utc(self):
         assert parse_timestamp("2013-07-20T00:00:00") == 1374278400.0
@@ -188,6 +193,14 @@ class TestLoadCorpus:
         assert result.skipped["malformed"] == 1  # p3: unknown practice
         assert result.skipped["no_facts"] == 1  # p4: only off-roster mention
 
+    def test_following_record_is_malformed(self, small_roster):
+        # The following graph comes from the follow edge list alone.
+        lines = [_pre("f1", "alice", 10, "following", ["bob"]), _raw("r1", "bob", 20, "#x")]
+        result = load_corpus(lines, small_roster, SPAN)
+        assert result.skipped["malformed"] == result.skipped_total == 1
+        assert [t.id for t in result.transactions] == ["r1"]
+        assert result.records_read == len({t.id for t in result.transactions}) + 1
+
     def test_conservation(self, small_roster):
         lines = [
             _raw("a", "alice", 1, "#x @carol"),
@@ -207,6 +220,36 @@ class TestLoadCorpus:
         ]
         result = load_corpus(lines, small_roster, SPAN)
         assert validate_transactions(result.transactions, small_roster, SPAN) == []
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (dict(facts=()), "empty facts"),
+            (dict(author="mallory"), "author/group not in roster"),
+            (dict(group="B"), "author/group not in roster"),
+            (dict(timestamp=SPAN[1]), "timestamp outside window"),
+            (dict(practice="following"), "unknown practice"),
+            (dict(facts=("#wahl",)), "unnormalized fact key '#wahl'"),
+            (dict(facts=("Wahl",)), "unnormalized fact key 'Wahl'"),
+            (dict(facts=("",)), "unnormalized fact key ''"),
+            (dict(facts=("wahl", "wahl")), "duplicate facts within transaction"),
+        ],
+        ids=["empty-facts", "author-off-roster", "group-off-roster", "outside-window",
+             "unknown-practice", "hash-prefix", "upper-case", "empty-key", "duplicate-fact"],
+    )
+    def test_contract_names_each_broken_rule(self, small_roster, bad, message):
+        fields = dict(id="t1", author="alice", group="A", timestamp=10.0,
+                      practice="tagging", facts=("wahl",))
+        fields.update(bad)
+        [violation] = validate_transactions([Transaction(**fields)], small_roster, SPAN)
+        assert violation == f"transaction t1/{fields['practice']}: {message}"
+
+    def test_contract_flags_retweetee_also_mentioned(self, small_roster):
+        stream = [Transaction("t1", "alice", "A", 10.0, "retweeting", ("carol",)),
+                  Transaction("t1", "alice", "A", 10.0, "mentioning", ("carol", "dave"))]
+        assert validate_transactions(stream, small_roster, SPAN) == [
+            "record t1: ['carol'] counted as both retweetee and mentionee"
+        ]
 
     def test_blank_lines_not_counted(self, small_roster):
         result = load_corpus(["", "  ", _raw("a", "alice", 1, "#x")], small_roster, SPAN)

@@ -55,6 +55,11 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([], "tagging", ROSTER)
 
+    def test_following_is_not_folded_from_the_stream(self):
+        follow = Transaction("1", "alice", "A", 1.0, "following", ("bob",))
+        with pytest.raises(ValueError, match="following"):
+            build_graph([follow], "following", ROSTER)
+
 
 class TestFollowGraph:
     def test_repeats_collapse_and_bad_edges_count(self):

@@ -319,6 +319,25 @@ class TestHostileCorpus:
         assert main(["report", *(f"--{k}={v}" for k, v in values.items())]) == 0
 
 
+class TestFollowingRecordInCorpus:
+    def test_counted_as_malformed_by_report_and_ingest(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        follow = {"id": "f1", "user": "a000", "timestamp": 1.0, "practice": "following",
+                  "facts": ["b000"]}
+        corpus.write_text(corpus.read_text(encoding="utf-8") + json.dumps(follow) + "\n",
+                          encoding="utf-8")
+        manifest = run_pipeline(build_run_config(values))
+        counts = run_ingest(build_run_config(values))
+        assert manifest["ingest"] == dict(counts, dropped_outside_grid=0)
+        assert counts["skipped"]["malformed"] == sum(counts["skipped"].values()) == 1
+        assert "following" not in manifest["practices"]
+        with open(tmp_path / "out" / "transactions.jsonl", encoding="utf-8") as fh:
+            emitted = {json.loads(line)["id"] for line in fh}
+        assert "f1" not in emitted
+        assert counts["records_read"] == len(emitted) + 1
+
+
 class TestReservedGroupNames:
     @pytest.mark.parametrize("name", ["TOTAL", "AVERAGE"])
     def test_pseudo_group_name_in_roster_rejected(self, tmp_path, name):

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from culturestream.binning import WindowSpec, bin_transactions
-from culturestream.corpus import (
-    load_corpus,
-    load_roster,
-    validate_transactions,
-    write_transactions_jsonl,
-)
+from culturestream.corpus import load_corpus, load_roster, write_transactions_jsonl
 from culturestream.network import build_graph, homophily
 from culturestream.synth import (
     BurstInjection,
@@ -18,6 +13,7 @@ from culturestream.synth import (
     generate,
     write_roster_csv,
 )
+from stream_contract import validate_transactions
 
 
 def _config(**overrides):
