@@ -31,7 +31,10 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from functools import lru_cache
+from itertools import takewhile
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DataError
 
@@ -47,14 +50,20 @@ SKIP_REASONS = ("malformed", "duplicate_id", "unknown_author", "outside_window",
 # IngestResult.malformed_lines keeps the first this many, not one per bad line.
 MALFORMED_SAMPLE = 20
 
+# Duplicate detection keeps, per id, a bit for each practice it was seen under.
+# A raw record speaks for every practice of its message, so it sets every bit
+# (-1).  Pre-extracted records whose practice is not a stream practice share
+# one more bit.
+_PRACTICE_BIT = {p: 1 << i for i, p in enumerate(PRACTICES)}
+_NOT_A_PRACTICE_BIT = 1 << len(PRACTICES)
+
 _HASHTAG_RE = re.compile(r"#(\w+)")
 # "RT username" and "RT @username", optional trailing colon.
 _RT_RE = re.compile(r"\bRT\s+@?([A-Za-z0-9_]+):?", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """One communicative act by an author, referencing one or more facts.
 
     A fact is its normalized key; its kind follows from the practice
@@ -69,6 +78,10 @@ class Transaction:
     facts: tuple[str, ...]
 
 
+# Keys repeat across records (authors, popular hashtags), so the two key
+# normalizers are memoized; an exception is never cached, so a bad handle
+# raises on every call.
+@lru_cache(maxsize=1 << 16)
 def normalize_handle(raw: str) -> str:
     """Canonical user handle: leading '@' stripped, lowercased.
 
@@ -82,6 +95,7 @@ def normalize_handle(raw: str) -> str:
     return handle
 
 
+@lru_cache(maxsize=1 << 16)
 def fold_hashtag(token: str) -> str:
     """ASCII-fold and lowercase a hashtag token; may return ''."""
     folded = unicodedata.normalize("NFKD", token).encode("ascii", "ignore").decode("ascii")
@@ -109,30 +123,31 @@ def extract_facts(
     roster = roster or set()
 
     rt_matches = list(_RT_RE.finditer(text))
-    rt_spans = [m.span() for m in rt_matches]
-    retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
-
-    mentionees = []
-    for m in _MENTION_RE.finditer(text):
-        if any(start <= m.start() < end for start, end in rt_spans):
-            continue
-        mentionees.append(m.group(1).lower())
-    rt_set = set(retweetees)
-    mentionees = [u for u in dict.fromkeys(mentionees) if u not in rt_set]
+    if rt_matches:
+        rt_spans = [m.span() for m in rt_matches]
+        retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
+        rt_set = set(retweetees)
+        mentions = dict.fromkeys(
+            m.group(1).lower() for m in _MENTION_RE.finditer(text)
+            if not any(start <= m.start() < end for start, end in rt_spans)
+        )
+        mentionees = [u for u in mentions if u not in rt_set]
+    else:
+        retweetees = []
+        mentionees = list(dict.fromkeys(u.lower() for u in _MENTION_RE.findall(text)))
 
     if restrict_to_roster:
         retweetees = [u for u in retweetees if u in roster]
         mentionees = [u for u in mentionees if u in roster]
 
-    hashtags = []
-    cutoff = rt_matches[0].start() if (rt_matches and not include_retweet_hashtags) else None
-    for m in _HASHTAG_RE.finditer(text):
-        if cutoff is not None and m.start() >= cutoff:
-            continue
-        tag = fold_hashtag(m.group(1))
-        if tag:
-            hashtags.append(tag)
-    hashtags = list(dict.fromkeys(hashtags))
+    if rt_matches and not include_retweet_hashtags:
+        # A hashtag is kept when it starts before the marker ("#RT @a" keeps "rt").
+        cutoff = rt_matches[0].start()
+        tokens = [m.group(1) for m in
+                  takewhile(lambda m: m.start() < cutoff, _HASHTAG_RE.finditer(text))]
+    else:
+        tokens = _HASHTAG_RE.findall(text)
+    hashtags = [tag for tag in dict.fromkeys(map(fold_hashtag, tokens)) if tag]
 
     return {"tagging": hashtags, "retweeting": retweetees, "mentioning": mentionees}
 
@@ -252,7 +267,12 @@ def load_corpus(
     facts; every record either contributes transactions or is counted under
     exactly one skip reason, so
 
-        records_read == distinct emitted record ids + skipped_total
+        records_read == records that emit transactions + skipped_total
+
+    A raw record duplicates any earlier record with its id.  A pre-extracted
+    record duplicates an earlier raw record with its id, or an earlier
+    pre-extracted one with its id and practice: the lines ``ingest`` writes
+    for one message share its id, one line per practice.
 
     Lines may be bytes: each is decoded as UTF-8 on its own, a leading byte
     order mark is dropped (a line holding only one is blank), and a line that
@@ -261,7 +281,7 @@ def load_corpus(
     start, end = window
     result = IngestResult()
     roster_handles = set(roster)
-    seen_ids: set[str] = set()
+    seen_bits: dict[str, int] = {}
 
     for line_no, line in enumerate(lines, 1):
         stripped = line.strip()
@@ -292,10 +312,17 @@ def load_corpus(
                              else str(exc))
             continue
 
-        if rec_id in seen_ids:
+        pre_extracted = "practice" in rec or "facts" in rec
+        if pre_extracted:
+            practice = rec.get("practice")
+            bit = _PRACTICE_BIT[practice] if practice in PRACTICES else _NOT_A_PRACTICE_BIT
+        else:
+            bit = -1
+        seen = seen_bits.get(rec_id, 0)
+        if seen & bit:
             result.skipped["duplicate_id"] += 1
             continue
-        seen_ids.add(rec_id)
+        seen_bits[rec_id] = seen | bit
 
         group = roster.get(author)
         if group is None:
@@ -305,8 +332,7 @@ def load_corpus(
             result.skipped["outside_window"] += 1
             continue
 
-        if "practice" in rec or "facts" in rec:
-            practice = rec.get("practice")
+        if pre_extracted:
             if practice not in PRACTICES or not isinstance(rec.get("facts"), list):
                 result.malformed(line_no, "bad practice/facts fields")
                 continue
@@ -362,12 +388,16 @@ def write_ingest_report(result: IngestResult, path) -> int:
 
 
 def transaction_line(t: Transaction) -> str:
-    """One transaction as a record of the pre-extracted schema, without newline."""
-    return json.dumps(
-        {"id": t.id, "user": t.author, "timestamp": t.timestamp, "practice": t.practice,
-         "facts": list(t.facts)},
-        sort_keys=True,
-    )
+    """One transaction as a record of the pre-extracted schema, without newline.
+
+    The bytes of ``json.dumps(record, sort_keys=True)``, built directly: the
+    keys in sorted order, strings through json's own ASCII escaper and the
+    timestamp as ``float.__repr__``, as json writes a float.
+    """
+    quote = encode_basestring_ascii
+    return (f'{{"facts": [{", ".join(map(quote, t.facts))}], "id": {quote(t.id)}, '
+            f'"practice": {quote(t.practice)}, "timestamp": {float.__repr__(t.timestamp)}, '
+            f'"user": {quote(t.author)}}}')
 
 
 def write_transactions_jsonl(transactions: Iterable[Transaction], path) -> None:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import extract_oracle
 from culturestream.corpus import (
     MALFORMED_SAMPLE,
+    PRACTICES,
     IngestResult,
     Transaction,
     extract_facts,
@@ -18,6 +20,7 @@ from culturestream.corpus import (
     load_roster,
     normalize_handle,
     parse_timestamp,
+    transaction_line,
     write_ingest_report,
 )
 from culturestream.errors import DataError
@@ -35,6 +38,28 @@ class TestHandleNormalization:
         for handle in ("two words", "a\u00a0b", "a\u2003b", "a\x1cb"):
             with pytest.raises(ValueError):
                 normalize_handle(handle)
+
+    def test_memoized_bad_handle_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                normalize_handle("two words")
+        assert normalize_handle("@Carol") == normalize_handle("carol") == "carol"
+
+
+# Message texts for the extraction oracle: retweet markers in both cases,
+# bare '@'/'#', handles in and out of the roster, accented and non-Latin
+# words, and the non-ASCII letters that case-insensitive matching takes for
+# ASCII ones (Kelvin sign, long s, dotted capital I).  An empty separator
+# glues tokens, as in "#RT @carol".
+_TOKENS = st.sampled_from([
+    "RT", "rt", "Rt", "RT @", "@", "#", "##", "via", ":", "carol", "Carol", "DAVE", "dave",
+    "@carol", "@Dave", "@ghost", "#tag", "#Tag", "#Tág", "RT @carol:",
+    "ghost", "x_1", "btw13", "café", "ÉTÉ", "Straße", "試験", "\u212a", "\u017f", "\u0130",
+])
+_SEPARATORS = st.sampled_from(["", "", " ", "  ", ":", "\t", "\n", ".", ","])
+_TEXTS = st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=14).map(
+    lambda parts: "".join(token + sep for token, sep in parts)
+)
 
 
 class TestHashtagFolding:
@@ -86,6 +111,17 @@ class TestExtraction:
     def test_plain_text_has_no_facts(self):
         facts = extract_facts("just words here", set())
         assert all(not keys for keys in facts.values())
+
+    @given(_TEXTS)
+    @example("#RT @carol: #after")
+    @example("rt @dave #x RT @carol: @dave #y")
+    def test_matches_reference_under_every_flag_combination(self, text):
+        roster = {"carol", "dave", "k"}
+        for restrict in (True, False):
+            for retweet_hashtags in (True, False):
+                assert extract_facts(text, roster, restrict, retweet_hashtags) == (
+                    extract_oracle.extract_facts(text, roster, restrict, retweet_hashtags)
+                ), (restrict, retweet_hashtags)
 
 
 class TestRoster:
@@ -192,6 +228,29 @@ class TestLoadCorpus:
         assert list(by_id["p2"].facts) == ["carol"]
         assert result.skipped["malformed"] == 1  # p3: unknown practice
         assert result.skipped["no_facts"] == 1  # p4: only off-roster mention
+
+    def test_duplicate_id_rule(self, small_roster):
+        lines = [
+            _pre("m", "alice", 1, "tagging", ["x"]),
+            _pre("m", "alice", 1, "mentioning", ["carol"]),  # same message, other practice
+            _pre("m", "alice", 1, "tagging", ["y"]),  # same id and practice: duplicate
+            _raw("m", "alice", 2, "#z"),  # raw after any record with its id: duplicate
+            _raw("r", "bob", 3, "#x @carol"),
+            _pre("r", "bob", 3, "retweeting", ["carol"]),  # after a raw record: duplicate
+            _pre("b", "bob", 4, "bogus", ["x"]),  # not a practice: malformed
+            _pre("b", "bob", 4, "tagging", ["x"]),
+            _pre("g", "ghost", 5, "tagging", ["x"]),
+            _pre("g", "ghost", 5, "tagging", ["x"]),  # duplicate before unknown author
+        ]
+        result = load_corpus(lines, small_roster, SPAN)
+        assert [(t.id, t.practice) for t in result.transactions] == [
+            ("m", "tagging"), ("m", "mentioning"), ("r", "tagging"), ("r", "mentioning"),
+            ("b", "tagging"),
+        ]
+        assert result.skipped == {"malformed": 1, "duplicate_id": 4, "unknown_author": 1,
+                                  "outside_window": 0, "no_facts": 0}
+        emitting_records = 4  # both "m" lines, "r" and the second "b"
+        assert result.records_read == len(lines) == emitting_records + result.skipped_total
 
     def test_following_record_is_malformed(self, small_roster):
         # The following graph comes from the follow edge list alone.
@@ -341,6 +400,18 @@ class TestHostileLines:
         result = self._load(["\u3000\n".encode(), b" \t\r\n"], small_roster)
         assert result.records_read == 1
         assert result.skipped["malformed"] == 1
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=()))  # control chars, lone surrogates
+
+
+@given(_ANY_TEXT, _ANY_TEXT, st.floats(allow_nan=False, allow_infinity=False),
+       st.one_of(st.sampled_from(PRACTICES), _ANY_TEXT), st.lists(_ANY_TEXT, max_size=4))
+def test_transaction_line_is_sorted_key_json(rec_id, author, timestamp, practice, facts):
+    t = Transaction(rec_id, author, "G", timestamp, practice, tuple(facts))
+    record = {"id": rec_id, "user": author, "timestamp": timestamp, "practice": practice,
+              "facts": facts}
+    assert transaction_line(t) == json.dumps(record, sort_keys=True)
 
 
 def test_ingest_report_round_trip(tmp_path):

@@ -18,6 +18,7 @@ from culturestream.pipeline import (
 )
 from culturestream.corpus import write_transactions_jsonl
 from culturestream.synth import SynthConfig, generate, write_roster_csv
+from test_golden import RAW_SETTINGS, _write_raw_inputs
 
 
 def _small_inputs(tmp_path, **synth_overrides):
@@ -370,3 +371,31 @@ class TestRunIngest:
         with open(config.out_dir / "transactions.jsonl", encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == counts["transactions"]
         assert counts["records_read"] >= counts["transactions"]
+
+
+class TestIngestRoundTrip:
+    """``report`` over ``ingest``'s own stream writes the raw run's CSVs.
+
+    ``ingest`` writes one line per (message, practice), all sharing the
+    message's id, so none of them may count as a duplicate.
+    """
+
+    @pytest.mark.parametrize("changed", [False, True], ids=["defaults", "every-setting-changed"])
+    def test_report_over_ingest_output_matches_raw_run(self, tmp_path, monkeypatch, changed):
+        _write_raw_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        values = {k: v for k, v in RAW_SETTINGS.items()
+                  if changed or k in ("corpus", "roster", "follow_edges", "epoch", "weeks")}
+        run_pipeline(build_run_config(dict(values, out="raw")))
+        counts = run_ingest(build_run_config(dict(values, out="ingest")))
+        again = run_pipeline(build_run_config(
+            dict(values, corpus="ingest/transactions.jsonl", out="again")))
+
+        assert again["ingest"]["records_read"] == counts["transactions"]
+        assert again["ingest"]["transactions"] == counts["transactions"]
+        assert sum(again["ingest"]["skipped"].values()) == 0
+        names = sorted(p.name for p in (tmp_path / "raw").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "again").glob("*.csv"))
+        differing = [n for n in names
+                     if (tmp_path / "raw" / n).read_bytes() != (tmp_path / "again" / n).read_bytes()]
+        assert differing == ["ingest_report.csv"]
