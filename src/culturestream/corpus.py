@@ -24,6 +24,7 @@ maps one user to two different groups is a hard error.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -34,7 +35,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import takewhile
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple, Optional
+from typing import Container, Iterable, NamedTuple, Optional
 
 from .errors import DataError
 
@@ -58,8 +59,9 @@ _PRACTICE_BIT = {p: 1 << i for i, p in enumerate(PRACTICES)}
 _NOT_A_PRACTICE_BIT = 1 << len(PRACTICES)
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
-# "RT username" and "RT @username", optional trailing colon.
-_RT_RE = re.compile(r"\bRT\s+@?([A-Za-z0-9_]+):?", re.IGNORECASE)
+# "RT username" and "RT @username", optional trailing colon.  Only the marker
+# ignores case, so a handle is ASCII here as in _MENTION_RE.
+_RT_RE = re.compile(r"\b(?i:RT)\s+@?([A-Za-z0-9_]+):?")
 _MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
 
 
@@ -104,7 +106,7 @@ def fold_hashtag(token: str) -> str:
 
 def extract_facts(
     text: str,
-    roster: Optional[set[str]] = None,
+    roster: Optional[Container[str]] = None,
     restrict_to_roster: bool = True,
     include_retweet_hashtags: bool = True,
 ) -> dict[str, list[str]]:
@@ -120,7 +122,7 @@ def extract_facts(
     the first RT marker are dropped (the part before it is the author's own
     comment).
     """
-    roster = roster or set()
+    roster = roster or ()
 
     rt_matches = list(_RT_RE.finditer(text))
     if rt_matches:
@@ -254,7 +256,7 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
 
 
 def load_corpus(
-    lines: Iterable[str | bytes],
+    lines: Iterable[bytes],
     roster: dict[str, str],
     window: tuple[float, float],
     restrict_to_roster: bool = True,
@@ -274,25 +276,22 @@ def load_corpus(
     pre-extracted one with its id and practice: the lines ``ingest`` writes
     for one message share its id, one line per practice.
 
-    Lines may be bytes: each is decoded as UTF-8 on its own, a leading byte
-    order mark is dropped (a line holding only one is blank), and a line that
+    Each line is bytes, decoded as UTF-8 on its own after a leading byte
+    order mark is dropped (a line holding only one is blank); a line that
     does not decode is malformed.
     """
     start, end = window
     result = IngestResult()
-    roster_handles = set(roster)
     seen_bits: dict[str, int] = {}
 
     for line_no, line in enumerate(lines, 1):
-        stripped = line.strip()
+        stripped = line.strip().removeprefix(codecs.BOM_UTF8)
         if not stripped:
             continue
         result.records_read += 1
 
         try:
-            if isinstance(stripped, bytes):
-                stripped = stripped.decode("utf-8").removeprefix("\ufeff")
-            rec = json.loads(stripped)
+            rec = json.loads(stripped.decode("utf-8"))
             if not isinstance(rec, dict):
                 raise ValueError("record is not an object")
             rec_id, user = rec["id"], rec["user"]
@@ -305,9 +304,6 @@ def load_corpus(
             ts = parse_timestamp(rec["timestamp"])
         # ValueError covers JSONDecodeError and UnicodeDecodeError.
         except (KeyError, ValueError, RecursionError) as exc:
-            if not stripped:  # only a byte order mark: a blank line
-                result.records_read -= 1
-                continue
             result.malformed(line_no, f"missing field {exc}" if isinstance(exc, KeyError)
                              else str(exc))
             continue
@@ -346,7 +342,7 @@ def load_corpus(
                 continue
             keys_by_practice = extract_facts(
                 text,
-                roster_handles,
+                roster,
                 restrict_to_roster=restrict_to_roster,
                 include_retweet_hashtags=include_retweet_hashtags,
             )

@@ -104,11 +104,6 @@ def rbo_extended(keys1: Sequence, keys2: Sequence, p: float) -> float:
     return (1.0 - p) * convergent + agreement * p**depth
 
 
-def reproduction(v_t1: CultureVector, v_t2: CultureVector, p: float) -> float:
-    """Rank-biased overlap, at persistence p, of two consecutive culture vectors' rankings."""
-    return rbo_extended(rank_vector(v_t1), rank_vector(v_t2), p)
-
-
 def build_series(
     vectors: dict[VectorKey, CultureVector],
     spec: WindowSpec,
@@ -129,10 +124,11 @@ def build_series(
     out: dict[str, Series] = {}
     for group in groups:
         cells = [vectors.get((group, w, practice)) for w in range(1, spec.count + 1)]
-        if measure == "reproduction":
+        if measure == "reproduction":  # each cell ranked once, each adjacent pair compared
+            ranks = [None if vec is None else rank_vector(vec) for vec in cells]
             out[group] = [
-                (w, None if prev is None or curr is None else reproduction(prev, curr, rbo_p))
-                for w, prev, curr in zip(range(2, spec.count + 1), cells, cells[1:])
+                (w, None if prev is None or curr is None else rbo_extended(prev, curr, rbo_p))
+                for w, prev, curr in zip(range(2, spec.count + 1), ranks, ranks[1:])
             ]
             continue
         points: Series = []

@@ -163,7 +163,11 @@ def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     base = Path(path).parent
     path_keys = {s.metadata["key"] for s in SETTINGS if s.metadata["path"]}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -233,8 +237,11 @@ def _load(config: RunConfig):
     """
     config.validate()
     spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
-    with open(config.roster, encoding="utf-8-sig") as fh:
-        roster = load_roster(fh)
+    try:
+        with open(config.roster, encoding="utf-8-sig") as fh:
+            roster = load_roster(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"roster: {exc}") from None
     reserved = sorted(set(roster.values()) & {measures.AVERAGE, network.TOTAL})
     if reserved:
         raise DataError(f"roster group names reserved for the output: {', '.join(reserved)}")

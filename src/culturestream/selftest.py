@@ -280,7 +280,7 @@ def check_ingest_conservation() -> None:
     lines.append(json.dumps({"id": "ghost", "user": "nobody", "timestamp": 1.0,
                              "practice": "tagging", "facts": ["x"]}))
     span = (config.epoch, config.epoch + config.width * config.windows)
-    result = load_corpus(lines, roster, span)
+    result = load_corpus([line.encode("utf-8") for line in lines], roster, span)
     emitted_ids = {t.id for t in result.transactions}
     assert result.records_read == len(emitted_ids) + result.skipped_total, (
         result.records_read,
@@ -289,30 +289,10 @@ def check_ingest_conservation() -> None:
     )
 
 
+# Every check_* function, in definition order, named without the prefix.
 CHECKS: list[tuple[str, Callable[[], None]]] = [
-    ("focus_single_fact", check_focus_single_fact),
-    ("focus_uniform", check_focus_uniform),
-    ("focus_known_vector", check_focus_known_vector),
-    ("similarity_identical", check_similarity_identical),
-    ("similarity_disjoint", check_similarity_disjoint),
-    ("similarity_known_pair", check_similarity_known_pair),
-    ("similarity_needs_other_groups", check_similarity_needs_other_groups),
-    ("rbo_identical", check_rbo_identical),
-    ("rbo_swapped_pair", check_rbo_swapped_pair),
-    ("rbo_persistence_sensitivity", check_rbo_persistence_sensitivity),
-    ("rbo_top_depth_mass", check_rbo_top_depth_mass),
-    ("rbo_ranking_tie_break", check_rbo_ranking_tie_break),
-    ("institutionness_matches_brute_force", check_institutionness_matches_brute_force),
-    ("week_rate_known", check_week_rate_known),
-    ("burst_known_weight", check_burst_known_weight),
-    ("burst_cost_routes_agree", check_burst_cost_routes_agree),
-    ("burst_episode_segmentation", check_burst_episode_segmentation),
-    ("burst_zero_week_splits_episodes", check_burst_zero_week_splits_episodes),
-    ("burst_normalization_strongest_is_one", check_burst_normalization_strongest_is_one),
-    ("window_binning_half_open", check_window_binning_half_open),
-    ("absent_group_week_has_no_vector", check_absent_group_week_has_no_vector),
-    ("synth_deterministic", check_synth_deterministic),
-    ("ingest_conservation", check_ingest_conservation),
+    (name.removeprefix("check_"), func) for name, func in globals().items()
+    if name.startswith("check_")
 ]
 
 

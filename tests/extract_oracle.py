@@ -13,7 +13,7 @@ import unicodedata
 from typing import Optional
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
-_RT_RE = re.compile(r"\bRT\s+@?([A-Za-z0-9_]+):?", re.IGNORECASE)
+_RT_RE = re.compile(r"\b(?i:RT)\s+@?([A-Za-z0-9_]+):?")
 _MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
 
 

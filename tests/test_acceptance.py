@@ -228,7 +228,7 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
     with open(fixtures_dir / "demo_roster.csv", encoding="utf-8") as fh:
         roster = load_roster(fh)
     span = (1374278400.0, 1374278400.0 + 13 * 604800.0)
-    with open(fixtures_dir / "demo_corpus.jsonl", encoding="utf-8") as fh:
+    with open(fixtures_dir / "demo_corpus.jsonl", "rb") as fh:
         ingest = load_corpus(fh, roster, span)
     spec = WindowSpec(epoch=span[0], count=13)
 

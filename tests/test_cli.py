@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import culturestream
+from culturestream import selftest
 from culturestream.cli import main
 
 
@@ -64,6 +65,25 @@ class TestExitCodes:
         assert main(["report", *_run_args(tmp_path, corpus, roster)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_non_utf8_roster_is_data_error(self, tmp_path, capsys):
+        corpus, _ = _synth_inputs(tmp_path)
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes(b"user,group\nj\xf6rg,A\n")
+        assert main(["report", *_run_args(tmp_path, corpus, roster)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: roster: " in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        corpus, roster = _synth_inputs(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"corpus = %s\nroster = %s\nepoch = 0\nweeks = 2 # w\xf6\n"
+                           % (bytes(corpus), bytes(roster)))
+        assert main(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "run.cfg" in err
+        assert "Traceback" not in err
+
     def test_bad_burst_spec_is_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "s"), "--burst", "storm:7"])
         assert code == 1
@@ -83,6 +103,19 @@ class TestSelftest:
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["selftest", "--only", "astrology"]) == 1
+
+    def test_check_names_and_order(self):
+        assert [name for name, _ in selftest.CHECKS] == [
+            "focus_single_fact", "focus_uniform", "focus_known_vector",
+            "similarity_identical", "similarity_disjoint", "similarity_known_pair",
+            "similarity_needs_other_groups", "rbo_identical", "rbo_swapped_pair",
+            "rbo_persistence_sensitivity", "rbo_top_depth_mass", "rbo_ranking_tie_break",
+            "institutionness_matches_brute_force", "week_rate_known", "burst_known_weight",
+            "burst_cost_routes_agree", "burst_episode_segmentation",
+            "burst_zero_week_splits_episodes", "burst_normalization_strongest_is_one",
+            "window_binning_half_open", "absent_group_week_has_no_vector",
+            "synth_deterministic", "ingest_conservation",
+        ]
 
 
 class TestRoundTrip:

@@ -108,6 +108,13 @@ class TestExtraction:
         drop = extract_facts(text, {"carol"}, include_retweet_hashtags=False)
         assert drop["tagging"] == ["mine"]
 
+    def test_retweet_handle_is_ascii_as_in_mentions(self):
+        # Only the RT marker ignores case: the Kelvin sign, long s and dotted
+        # capital I are not handle letters, in a retweet as in a mention.
+        for text in ("RT @\u212aarl: hi", "rt @\u017fam", "RT @\u0130van"):
+            facts = extract_facts(text, restrict_to_roster=False)
+            assert facts["retweeting"] == facts["mentioning"] == [], text
+
     def test_plain_text_has_no_facts(self):
         facts = extract_facts("just words here", set())
         assert all(not keys for keys in facts.values())
@@ -171,14 +178,15 @@ class TestTimestamps:
             parse_timestamp(value)
 
 
+# Corpus lines are bytes, as read from a file opened "rb".
 def _raw(rec_id, user, ts, text):
-    return json.dumps({"id": rec_id, "user": user, "timestamp": ts, "text": text})
+    return json.dumps({"id": rec_id, "user": user, "timestamp": ts, "text": text}).encode()
 
 
 def _pre(rec_id, user, ts, practice, facts):
     return json.dumps(
         {"id": rec_id, "user": user, "timestamp": ts, "practice": practice, "facts": facts}
-    )
+    ).encode()
 
 
 SPAN = (0.0, 1000.0)
@@ -197,13 +205,13 @@ class TestLoadCorpus:
 
     def test_skip_reasons(self, small_roster):
         lines = [
-            "{broken json",
+            b"{broken json",
             _raw("r1", "alice", 10, "#ok"),
             _raw("r1", "alice", 11, "#duplicate"),
             _raw("r2", "ghost", 10, "#x"),
             _raw("r3", "bob", 5000, "#x"),
             _raw("r4", "carol", 10, "no facts at all"),
-            json.dumps({"id": "r5", "user": "dave", "timestamp": 10}),
+            json.dumps({"id": "r5", "user": "dave", "timestamp": 10}).encode(),
         ]
         result = load_corpus(lines, small_roster, SPAN)
         assert result.skipped == {
@@ -264,7 +272,7 @@ class TestLoadCorpus:
         lines = [
             _raw("a", "alice", 1, "#x @carol"),
             _raw("b", "bob", 2, "plain"),
-            "junk",
+            b"junk",
             _raw("a", "alice", 3, "#dup"),
             _pre("c", "carol", 4, "tagging", ["y"]),
         ]
@@ -311,11 +319,11 @@ class TestLoadCorpus:
         ]
 
     def test_blank_lines_not_counted(self, small_roster):
-        result = load_corpus(["", "  ", _raw("a", "alice", 1, "#x")], small_roster, SPAN)
+        result = load_corpus([b"", b"  ", _raw("a", "alice", 1, "#x")], small_roster, SPAN)
         assert result.records_read == 1
 
     def test_malformed_sample_is_capped_and_counts_stay_exact(self, small_roster):
-        lines = ["junk"] * 1000 + [_raw("a", "alice", 1, "#x")]
+        lines = [b"junk"] * 1000 + [_raw("a", "alice", 1, "#x")]
         result = load_corpus(lines, small_roster, SPAN)
         assert result.skipped["malformed"] == 1000
         assert len(result.malformed_lines) == MALFORMED_SAMPLE
@@ -336,13 +344,13 @@ class TestHostileLines:
         return result
 
     def test_non_utf8_line_is_malformed(self, small_roster):
-        lines = [b"\xff\n", _raw("a", "alice", 1, "#x").encode() + b"\n"]
+        lines = [b"\xff\n", _raw("a", "alice", 1, "#x") + b"\n"]
         result = self._load(lines, small_roster)
         assert result.skipped["malformed"] == 1
         assert [t.id for t in result.transactions] == ["a"]
 
     def test_byte_order_mark_on_first_line_is_dropped(self, small_roster):
-        lines = [b"\xef\xbb\xbf" + _raw("a", "alice", 1, "#x").encode() + b"\n"]
+        lines = [b"\xef\xbb\xbf" + _raw("a", "alice", 1, "#x") + b"\n"]
         result = self._load(lines, small_roster)
         assert result.skipped["malformed"] == 0
         assert [t.id for t in result.transactions] == ["a"]
@@ -363,17 +371,17 @@ class TestHostileLines:
 
     def test_non_finite_timestamps_are_malformed(self, small_roster):
         lines = [
-            '{"id": "a", "user": "alice", "timestamp": NaN, "text": "#x"}',
-            '{"id": "b", "user": "alice", "timestamp": Infinity, "text": "#x"}',
+            b'{"id": "a", "user": "alice", "timestamp": NaN, "text": "#x"}',
+            b'{"id": "b", "user": "alice", "timestamp": Infinity, "text": "#x"}',
             _raw("c", "alice", "-inf", "#x"),
-            '{"id": "d", "user": "alice", "timestamp": 1' + "0" * 400 + ', "text": "#x"}',
+            b'{"id": "d", "user": "alice", "timestamp": 1' + b"0" * 400 + b', "text": "#x"}',
         ]
         result = self._load(lines, small_roster)
         assert result.skipped["malformed"] == 4
         assert result.skipped["outside_window"] == 0
 
     def test_deeply_nested_line_is_malformed(self, small_roster):
-        result = self._load(["[" * 100_000, _raw("a", "alice", 1, "#x")], small_roster)
+        result = self._load([b"[" * 100_000, _raw("a", "alice", 1, "#x")], small_roster)
         assert result.skipped["malformed"] == 1
 
     @given(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from culturestream import measures
 from culturestream.binning import WindowSpec, rank_vector
 from culturestream.measures import (
     average_series,
@@ -15,7 +16,6 @@ from culturestream.measures import (
     focus,
     pair_similarity,
     rbo_extended,
-    reproduction,
     write_series_csv,
 )
 
@@ -208,7 +208,7 @@ class TestRbo:
         r1 = rank_vector(v1)
         r2 = rank_vector(v2)
         assert r1 == r2 == ["a", "b"]
-        assert reproduction(v1, v2, 0.9) == 1.0
+        assert rbo_extended(r1, r2, 0.9) == 1.0
 
 
 class TestSeries:
@@ -229,6 +229,19 @@ class TestSeries:
         expected = 0.1 * (0.9 * 2 / 3) + (2 / 3) * 0.81
         assert series["A"][1][1] == pytest.approx(expected, abs=1e-12)
         assert series["B"] == [(2, None), (3, None)]
+
+    def test_reproduction_ranks_each_active_cell_once(self, monkeypatch):
+        ranked = []
+
+        def counting(vector):
+            ranked.append(id(vector))
+            return rank_vector(vector)
+
+        monkeypatch.setattr(measures, "rank_vector", counting)
+        vectors = self._vectors()
+        spec = WindowSpec(epoch=0.0, count=3, width=10.0)
+        build_series(vectors, spec, "tagging", ["A", "B"], "reproduction")
+        assert sorted(ranked) == sorted(map(id, vectors.values()))
 
     def test_focus_and_frequency_series(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)

@@ -159,7 +159,7 @@ class TestStreamContract:
         assert loaded_roster == roster
 
         span = (config.epoch, config.epoch + config.windows * config.width)
-        with open(corpus_path, encoding="utf-8") as fh:
+        with open(corpus_path, "rb") as fh:
             result = load_corpus(fh, loaded_roster, span)
         assert result.skipped_total == 0
         assert result.malformed_lines == []
