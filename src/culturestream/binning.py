@@ -15,6 +15,8 @@ from .corpus import KIND_FOR_PRACTICE, Transaction, write_csv
 
 VectorKey = tuple[str, int, str]  # (group, window, practice)
 
+DEFAULT_WIDTH = 7 * 86400.0  # one week, in seconds
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -22,7 +24,7 @@ class WindowSpec:
 
     epoch: float
     count: int
-    width: float = 7 * 86400.0
+    width: float = DEFAULT_WIDTH
 
     def __post_init__(self):
         if self.width <= 0:

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .binning import DEFAULT_WIDTH
 from .corpus import parse_timestamp, write_transactions_jsonl
 from .errors import ConfigError, DataError
 
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial references per pre-existing fact (default 1)")
     p.add_argument("--epoch", default="0", help="stream start (default epoch second 0)")
     p.add_argument("--width-seconds", dest="width", metavar="WIDTH_SECONDS", type=float,
-                   default=7 * 86400.0, help="window width (default 604800)")
+                   default=DEFAULT_WIDTH, help="window width (default 604800)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("selftest", help="run the built-in check battery")

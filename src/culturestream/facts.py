@@ -10,21 +10,24 @@ scores.  Two threshold variants are supported:
   normalized   r_t / h0_t >= h
 
 A window with r_t > 0 clears every h up to its own bound m_t; the score is the
-h-index of the m_t, which costs O(W + k log k) per fact, k of its W windows active.
+h-index of the m_t, which costs O(k log k) per fact with k active windows.
 
 Burstiness uses a two-state cost model.  With base rate p0 = R/D and burst
 rate p1 = 2*R/D (clamped below 1), the cost of window t under state s is the
 negative log binomial likelihood of r_t references out of d_t.  A burst
 episode is a maximal run of windows where the burst state is cheaper; its
 weight is the summed cost improvement, normalized per group by the group's
-strongest burst.
+strongest burst.  Costs are evaluated at a fact's active windows only: while
+p1 > p0, a window without references has a negative improvement and a window
+with d_t = 0 none, so neither can burst.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import lgamma, log
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .binning import CultureVector, VectorKey, WindowSpec
 from .corpus import fmt, write_csv
@@ -39,8 +42,8 @@ def collect_fact_series(
     spec: WindowSpec,
     group: str,
     practice: str,
-) -> tuple[list[int], dict[str, list[int]]]:
-    """One group's (d, {fact: r}) in fact-key order.
+) -> tuple[list[int], dict[str, dict[int, int]]]:
+    """One group's (d, {fact: {window: r}}) in fact-key order, windows ascending.
 
     r_t counts references to the fact per window and d_t the group's total
     references per window, practice-wide, shared by all its facts.  d_t
@@ -48,14 +51,14 @@ def collect_fact_series(
     for multi-fact messages.
     """
     d = [0] * spec.count
-    per_fact: dict[str, list[int]] = {}
+    per_fact: defaultdict[str, dict[int, int]] = defaultdict(dict)
     for w in range(1, spec.count + 1):
         vec = vectors.get((group, w, practice))
         if vec is None:
             continue
         d[w - 1] = sum(vec.values())
         for fact, count in vec.items():
-            per_fact.setdefault(fact, [0] * spec.count)[w - 1] = count
+            per_fact[fact][w] = count
     return d, dict(sorted(per_fact.items()))
 
 
@@ -81,15 +84,16 @@ def avg_rate(
 
 
 def institutionness_value(
-    r: Sequence[int], h0: Sequence[Optional[float]], variant: str = "literal"
+    r: Mapping[int, int], h0: Sequence[Optional[float]], variant: str = "literal"
 ) -> int:
-    """Largest h in [0, n] such that at least h windows clear the threshold."""
+    """Largest h in [0, n = len(h0)] such that at least h windows of r clear the threshold."""
     if variant not in INSTITUTIONNESS_VARIANTS:
         raise ValueError(f"unknown institutionness variant {variant!r}")
-    n = len(r)
+    n = len(h0)
     literal = variant == "literal"
     bounds = []
-    for rt, h0t in zip(r, h0):
+    for w, rt in r.items():
+        h0t = h0[w - 1]
         if rt <= 0 or h0t is None:
             continue
         # m is the largest h this window clears.  The float estimate can be
@@ -106,47 +110,9 @@ def institutionness_value(
     return sum(m >= i for i, m in enumerate(bounds, 1))
 
 
-def burst_costs(r: Sequence[int], d: Sequence[int]) -> list[tuple[float, float]]:
-    """Per-window (cost in base state, cost in burst state).
-
-    Costs are negative log binomial likelihoods evaluated in log domain
-    (log-gamma for the coefficient).  Windows with d_t = 0 cost nothing in
-    either state.  Requires at least one reference overall.
-    """
-    total_d = sum(d)
-    total_r = sum(r)
-    if total_d <= 0 or total_r <= 0:
-        raise ValueError("burst costs need R > 0 and D > 0")
-    p0 = total_r / total_d
-    p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
-    log_p0, log_p1, log_q1 = log(p0), log(p1), log(1.0 - p1)
-    # p0 == 1 only when r_t == d_t in every window, where ln(1 - p0) is unused.
-    log_q0 = log(1.0 - p0) if p0 < 1.0 else 0.0
-    costs = []
-    for rt, dt in zip(r, d):
-        if dt == 0:
-            costs.append((0.0, 0.0))
-            continue
-        # ln C(d_t, 0) is exactly 0.0 by this same expression.
-        g0 = g1 = lgamma(dt + 1) - lgamma(rt + 1) - lgamma(dt - rt + 1) if rt else 0.0
-        if rt > 0:
-            g0 += rt * log_p0
-            g1 += rt * log_p1
-        if dt - rt > 0:
-            g0 += (dt - rt) * log_q0
-            g1 += (dt - rt) * log_q1
-        costs.append((-g0, -g1))
-    return costs
-
-
-def burst_improvements(r: Sequence[int], d: Sequence[int]) -> list[float]:
-    """Per-window cost improvement of the burst state (positive = bursting)."""
-    return [g0 - g1 for g0, g1 in burst_costs(r, d)]
-
-
 def improvement_closed_form(r: Sequence[int], d: Sequence[int]) -> list[float]:
-    """Independent route to the improvements: the binomial coefficients cancel,
-    leaving r_t * ln(p1/p0) + (d_t - r_t) * ln((1-p1)/(1-p0))."""
+    """Independent route to the improvements, over dense r: the binomial coefficients
+    cancel, leaving r_t * ln(p1/p0) + (d_t - r_t) * ln((1-p1)/(1-p0))."""
     total_d = sum(d)
     total_r = sum(r)
     if total_d <= 0 or total_r <= 0:
@@ -167,17 +133,31 @@ def improvement_closed_form(r: Sequence[int], d: Sequence[int]) -> list[float]:
     return out
 
 
-def burst_episodes(r: Sequence[int], d: Sequence[int]) -> list[tuple[int, int, float]]:
+def burst_episodes(r: Mapping[int, int], d: Sequence[int]) -> list[tuple[int, int, float]]:
     """(onset, end, weight) of each maximal run of windows with positive improvement.
 
-    Windows are 1-based and the weight is the run's summed improvement.  A
-    fact can burst multiple times; a fact with no references has no
-    episodes.
+    Windows are 1-based and ascending in r.  Improvement is base-state minus
+    burst-state cost, in log domain (log-gamma for the coefficient); the weight
+    is the run's sum.  A fact with no references has no episodes.
     """
-    if sum(r) == 0:
+    total_r = sum(r.values())
+    if total_r == 0:
         return []
+    p0 = total_r / sum(d)
+    p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
+    log_p0, log_p1, log_q1 = log(p0), log(p1), log(1.0 - p1)
+    # p0 == 1 only when r_t == d_t in every window, where ln(1 - p0) is unused.
+    log_q0 = log(1.0 - p0) if p0 < 1.0 else 0.0
+    # Only the clamp (p0 > 1 - 1e-9) puts p1 below p0, where a window with
+    # d_t > 0 and no references can burst too.
+    windows = r.items() if p1 >= p0 else [(w, r.get(w, 0)) for w, dt in enumerate(d, 1) if dt]
     episodes = []
-    for window, imp in enumerate(burst_improvements(r, d), 1):
+    for window, rt in windows:
+        dt = d[window - 1]
+        # lgamma(1) == 0.0, and a zero count adds only a signed zero.
+        coef = lgamma(dt + 1) - lgamma(rt + 1) - lgamma(dt - rt + 1)
+        g0 = coef + rt * log_p0 + (dt - rt) * log_q0
+        imp = coef + rt * log_p1 + (dt - rt) * log_q1 - g0
         if not imp > 0:
             continue
         if episodes and episodes[-1][1] == window - 1:

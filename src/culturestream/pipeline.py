@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -105,7 +106,7 @@ class RunConfig:
     )
     count: int = _setting("weeks", int, "number of observation windows")
     width: float = _setting(
-        "width_seconds", float, "window width (default 604800)", default=7 * 86400.0
+        "width_seconds", float, "window width (default 604800)", default=binning.DEFAULT_WIDTH
     )
     rbo_p: float = _setting("rbo_p", float, "reproduction persistence (default 0.9)", default=0.9)
     inst_variant: str = _setting(
@@ -139,8 +140,8 @@ class RunConfig:
             raise ConfigError(f"follow edge list not found: {self.follow_edges}")
         if self.count < 2:
             raise ConfigError("need at least 2 windows for reproduction series")
-        if self.width <= 0:
-            raise ConfigError("window width must be positive")
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise ConfigError("window width must be positive and finite")
         if not (0.0 <= self.rbo_p < 1.0):
             raise ConfigError("rbo persistence must be in [0, 1)")
         if self.inst_variant not in facts.INSTITUTIONNESS_VARIANTS:
@@ -167,6 +168,8 @@ def parse_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
         if not line:

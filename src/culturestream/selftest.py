@@ -32,6 +32,11 @@ def _approx(a: float, b: float, tol: float = 1e-12) -> bool:
     return abs(a - b) <= tol
 
 
+def _sparse(dense: list[int]) -> dict[int, int]:
+    """A dense per-window series as the facts layer's {window: r_t}, zeros dropped."""
+    return {w: rt for w, rt in enumerate(dense, 1) if rt}
+
+
 # ---------------------------------------------------------------------------
 # focus
 
@@ -157,7 +162,7 @@ def check_institutionness_matches_brute_force() -> None:
             series += [([rt] * 78, [h0t] * 78) for rt in range(10, 100, 10)]
     for trial, (r, h0) in enumerate(series):
         for variant in facts.INSTITUTIONNESS_VARIANTS:
-            got = facts.institutionness_value(r, h0, variant)
+            got = facts.institutionness_value(_sparse(r), h0, variant)
             want = _brute_force_institutionness(r, h0, variant)
             assert got == want, (trial, variant, r, h0, got, want)
             assert 0 <= got <= len(r)
@@ -178,14 +183,14 @@ def _normalized_rows(r, d) -> list[facts.FactMeasureRow]:
     """One fact's episode rows, normalized as a group of their own."""
     return facts.normalize_bursts([
         facts.FactMeasureRow("G", "tagging", "a", 0, weight, onset, end)
-        for onset, end, weight in facts.burst_episodes(r, d)
+        for onset, end, weight in facts.burst_episodes(_sparse(r), d)
     ])
 
 
 def check_burst_known_weight() -> None:
     # r=(1,5), d=(10,10): p0=0.3, p1=0.6.  Window 2 improvement is
     # 5 ln 2 + 5 ln(4/7) = 0.667657; window 1 is negative.
-    episodes = facts.burst_episodes([1, 5], [10, 10])
+    episodes = facts.burst_episodes({1: 1, 2: 5}, [10, 10])
     assert len(episodes) == 1, episodes
     onset, end, weight = episodes[0]
     assert (onset, end) == (2, 2), (onset, end)
@@ -199,10 +204,13 @@ def check_burst_cost_routes_agree() -> None:
         r = [rng.randint(0, dt) for dt in d]
         if sum(r) == 0:
             r[0] = d[0] = max(d[0], 1)
-        via_costs = facts.burst_improvements(r, d)
         closed = facts.improvement_closed_form(r, d)
-        for a, b in zip(via_costs, closed):
-            assert _approx(a, b, 1e-9), (r, d, a, b)
+        covered = set()
+        for onset, end, weight in facts.burst_episodes(_sparse(r), d):
+            assert _approx(weight, sum(closed[onset - 1 : end]), 1e-9), (r, d, onset, end)
+            covered.update(range(onset, end + 1))
+        bursting = {w for w, imp in enumerate(closed, 1) if imp > 1e-9}
+        assert bursting <= covered, (r, d, sorted(bursting - covered))
 
 
 def check_burst_episode_segmentation() -> None:
@@ -217,13 +225,12 @@ def check_burst_episode_segmentation() -> None:
 
 
 def check_burst_zero_week_splits_episodes() -> None:
-    # A week with no activity at all is neutral (cost 0 in both states) and
+    # A week with no activity at all is neutral (improvement 0) and
     # therefore breaks a run: r=(6,0,6,0), d=(10,0,10,40) yields [1,1] and
     # [3,3], not [1,3].
     r, d = [6, 0, 6, 0], [10, 0, 10, 40]
-    g0, g1 = facts.burst_costs(r, d)[1]
-    assert (g0, g1) == (0.0, 0.0)
-    spans = [(onset, end) for onset, end, _ in facts.burst_episodes(r, d)]
+    assert facts.improvement_closed_form(r, d)[1] == 0.0
+    spans = [(onset, end) for onset, end, _ in facts.burst_episodes(_sparse(r), d)]
     assert spans == [(1, 1), (3, 3)], spans
 
 

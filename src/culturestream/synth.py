@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .binning import DEFAULT_WIDTH
 from .corpus import PRACTICES, Transaction, write_csv
 
 
@@ -58,7 +59,7 @@ class SynthConfig:
     warmup_tokens: int = 1  # initial references per pre-existing fact
     practices: tuple[str, ...] = PRACTICES
     epoch: float = 0.0
-    width: float = 7 * 86400.0
+    width: float = DEFAULT_WIDTH
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):

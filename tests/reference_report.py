@@ -1,0 +1,98 @@
+"""Reference facts table that ``culturestream.facts.fact_measures`` must agree with.
+
+The README's institutionness and burstiness as straight-line code over dense
+per-window lists: every fact gets an r_t for every window, institutionness is
+an exhaustive search over h, and each window's two state costs are evaluated
+one at a time.  Tests compare the production code with this one; the tool
+never calls it, and it imports nothing from ``culturestream``.
+"""
+
+from __future__ import annotations
+
+import math
+
+P1_CLAMP_EPS = 1e-9
+
+
+def brute_force_institutionness(r, h0, variant):
+    """Largest h such that at least h windows clear the threshold, by exhaustive search."""
+    feasible = [0]
+    for h in range(1, len(r) + 1):
+        satisfied = 0
+        for rt, h0t in zip(r, h0):
+            if h0t is None:
+                continue
+            ok = rt >= h / h0t if variant == "literal" else rt / h0t >= h
+            if ok:
+                satisfied += 1
+        if satisfied >= h:
+            feasible.append(h)
+    return max(feasible)
+
+
+def log_gamma_costs(r, d):
+    """The per-window log-gamma costs, evaluated one window and one state at a time."""
+    p0 = sum(r) / sum(d)
+    p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
+    costs = []
+    for rt, dt in zip(r, d):
+        if dt == 0:
+            costs.append((0.0, 0.0))
+            continue
+        ln_choose = math.lgamma(dt + 1) - math.lgamma(rt + 1) - math.lgamma(dt - rt + 1)
+        pair = []
+        for ps in (p0, p1):
+            cost = ln_choose
+            if rt > 0:
+                cost += rt * math.log(ps)
+            if dt - rt > 0:
+                cost += (dt - rt) * math.log(1.0 - ps)
+            pair.append(-cost)
+        costs.append(tuple(pair))
+    return costs
+
+
+def episodes_from_costs(costs):
+    """(onset, end, weight) of each maximal run of windows whose burst state is cheaper."""
+    improvements = [g0 - g1 for g0, g1 in costs]
+    episodes = []
+    onset = None
+    for window, imp in enumerate(improvements + [0.0], 1):
+        if imp > 0 and onset is None:
+            onset = window
+        elif not imp > 0 and onset is not None:
+            episodes.append((onset, window - 1, sum(improvements[onset - 1 : window - 1])))
+            onset = None
+    return episodes
+
+
+def fact_rows(cells, count, groups, practice, variant):
+    """``fact_measures`` rows as (group, practice, fact, I, B, onset, end) tuples.
+
+    ``cells`` maps (group, window, practice) to {fact: count}; rows come per
+    group in ``groups`` order, facts ascending, episodes in window order.
+    """
+    h0 = []
+    for w in range(1, count + 1):
+        vecs = [vec for (_, window, prac), vec in cells.items() if (window, prac) == (w, practice)]
+        distinct = {fact for vec in vecs for fact in vec}
+        total = sum(n for vec in vecs for n in vec.values())
+        h0.append(total / len(distinct) if distinct else None)
+    rows = []
+    for group in groups:
+        dense = [cells.get((group, w, practice), {}) for w in range(1, count + 1)]
+        d = [sum(vec.values()) for vec in dense]
+        group_rows = []
+        for fact in sorted({fact for vec in dense for fact in vec}):
+            r = [vec.get(fact, 0) for vec in dense]
+            score = brute_force_institutionness(r, h0, variant)
+            episodes = episodes_from_costs(log_gamma_costs(r, d))
+            group_rows += [[group, practice, fact, score, w, on, end] for on, end, w in episodes]
+            if score > 0 and not episodes:
+                group_rows.append([group, practice, fact, score, 0.0, None, None])
+        top = max((row[4] for row in group_rows), default=0.0)
+        for row in group_rows:
+            if top > 0:
+                row[4] /= top
+            rows.append(tuple(row))
+    return rows

@@ -16,7 +16,7 @@ import pytest
 from culturestream.binning import WindowSpec, bin_transactions, rank_vector
 from culturestream.corpus import load_corpus, load_roster
 from culturestream.facts import (
-    burst_improvements,
+    burst_episodes,
     fact_measures,
     improvement_closed_form,
     institutionness_value,
@@ -28,6 +28,7 @@ from culturestream.network import (
     load_follow_edges,
 )
 from culturestream.pipeline import build_run_config, parse_config_file, run_pipeline
+from culturestream.selftest import _sparse
 from culturestream.synth import BurstInjection, SynthConfig, generate
 
 
@@ -96,7 +97,8 @@ def test_burst_improvement_oracle_via_both_routes():
     # base rate 6/20 doubled to 12/20; the binomial coefficients cancel,
     # leaving 5*ln 2 + 5*ln(4/7) at the spike window
     expected = 5.0 * math.log(2.0) + 5.0 * math.log(4.0 / 7.0)
-    via_log_gamma = burst_improvements(r, d)[1]
+    [(onset, end, via_log_gamma)] = burst_episodes(_sparse(r), d)
+    assert (onset, end) == (2, 2)
     via_closed_form = improvement_closed_form(r, d)[1]
     assert via_log_gamma == pytest.approx(expected, abs=1e-12)
     assert via_closed_form == pytest.approx(expected, abs=1e-12)
@@ -131,7 +133,7 @@ def test_institutionness_scan_matches_exhaustive_search():
             for _ in range(13)
         ]
         for variant in ("literal", "normalized"):
-            if institutionness_value(r, h0, variant) != _exhaustive_institutionness(
+            if institutionness_value(_sparse(r), h0, variant) != _exhaustive_institutionness(
                 r, h0, variant
             ):
                 mismatches += 1

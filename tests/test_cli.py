@@ -84,6 +84,34 @@ class TestExitCodes:
         assert "run.cfg" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, kind):
+        config = tmp_path / "run.cfg"
+        if kind == "directory":
+            config.mkdir()
+        assert main(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_width_is_usage_error(self, tmp_path, capsys, width, where):
+        corpus, roster = _synth_inputs(tmp_path)
+        args = _run_args(tmp_path, corpus, roster)
+        if where == "flag":
+            args += ["--width-seconds", width]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"width_seconds = {width}\n", encoding="utf-8")
+            args += ["--config", str(config)]
+        assert main(["report", *args]) == 1
+        err = capsys.readouterr().err
+        assert "window width must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_burst_spec_is_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "s"), "--burst", "storm:7"])
         assert code == 1

@@ -2,28 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from culturestream.binning import WindowSpec
 from culturestream.facts import (
     INSTITUTIONNESS_VARIANTS,
-    P1_CLAMP_EPS,
     FactMeasureRow,
     avg_rate,
-    burst_costs,
     burst_episodes,
-    burst_improvements,
     collect_fact_series,
     fact_measures,
     improvement_closed_form,
     institutionness_value,
     normalize_bursts,
     write_fact_csv,
+)
+from culturestream.selftest import _sparse
+from reference_report import (
+    brute_force_institutionness,
+    episodes_from_costs,
+    fact_rows,
+    log_gamma_costs,
 )
 
 
@@ -35,7 +40,7 @@ def _episode_rows(r, d):
     """One fact's episodes as output rows, burstiness holding the raw weight."""
     return [
         FactMeasureRow("A", "tagging", "x", 0, weight, onset, end)
-        for onset, end, weight in burst_episodes(r, d)
+        for onset, end, weight in burst_episodes(_sparse(r), d)
     ]
 
 
@@ -49,7 +54,8 @@ class TestCollect:
         }
         d, series = collect_fact_series(vectors, spec, "A", "tagging")
         assert list(series) == ["a", "b"]
-        assert list(series.values()) == [[2, 0, 1], [1, 0, 0]]
+        # each fact holds only its active windows, ascending
+        assert list(series.values()) == [{1: 2, 3: 1}, {1: 1}]
         # d covers the whole group's references; silent window 2 stays 0
         assert d == [3, 0, 1]
 
@@ -69,9 +75,11 @@ class TestCollect:
         vectors = {(g, w, "tagging"): _vec(counts) for (g, w), counts in cells.items()}
         for group in "AB":
             d, series = collect_fact_series(vectors, spec, group, "tagging")
-            for t, dt in enumerate(d):
-                assert all(0 <= r[t] <= dt for r in series.values())
-                assert dt == sum(r[t] for r in series.values())
+            for r in series.values():
+                assert list(r) == sorted(r) and all(r.values())
+            for t, dt in enumerate(d, 1):
+                assert all(0 <= r.get(t, 0) <= dt for r in series.values())
+                assert dt == sum(r.get(t, 0) for r in series.values())
 
 
 class TestAvgRate:
@@ -94,49 +102,32 @@ class TestAvgRate:
         assert avg_rate(vectors, spec, "tagging") == [3.0]
 
 
-def _brute_force_institutionness(r, h0, variant):
-    """Exhaustive maximization over h, independent of the scan order."""
-    n = len(r)
-    feasible = [0]
-    for h in range(1, n + 1):
-        satisfied = 0
-        for rt, h0t in zip(r, h0):
-            if h0t is None:
-                continue
-            ok = rt >= h / h0t if variant == "literal" else rt / h0t >= h
-            if ok:
-                satisfied += 1
-        if satisfied >= h:
-            feasible.append(h)
-    return max(feasible)
-
-
 class TestInstitutionness:
     def test_all_zero_series(self):
-        assert institutionness_value([0, 0, 0], [1.0, 1.0, 1.0]) == 0
+        assert institutionness_value({}, [1.0, 1.0, 1.0]) == 0
 
     def test_five_strong_weeks(self):
         r = [5, 5, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 0]
-        assert institutionness_value(r, [1.0] * 13) == 5
+        assert institutionness_value(_sparse(r), [1.0] * 13) == 5
 
     def test_heavy_every_week_hits_cap(self):
-        assert institutionness_value([50] * 13, [2.0] * 13) == 13
+        assert institutionness_value(_sparse([50] * 13), [2.0] * 13) == 13
 
     def test_undefined_weeks_never_satisfy(self):
-        assert institutionness_value([5, 5], [None, None]) == 0
-        assert institutionness_value([5, 5], [1.0, None]) == 1
+        assert institutionness_value({1: 5, 2: 5}, [None, None]) == 0
+        assert institutionness_value({1: 5, 2: 5}, [1.0, None]) == 1
 
     def test_variants_differ_when_h0_below_one(self):
         # literal: r >= h/h0 -> 3 >= h/0.5 holds up to h=1 (needs 2 windows
         # for h=1? no: one window suffices); normalized: 3/0.5 = 6 >= h
         r = [3, 3]
         h0 = [0.5, 0.5]
-        assert institutionness_value(r, h0, "literal") == 1
-        assert institutionness_value(r, h0, "normalized") == 2
+        assert institutionness_value(_sparse(r), h0, "literal") == 1
+        assert institutionness_value(_sparse(r), h0, "normalized") == 2
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            institutionness_value([1], [1.0], "inverse")
+            institutionness_value({1: 1}, [1.0], "inverse")
 
     @given(
         st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=13),
@@ -145,7 +136,7 @@ class TestInstitutionness:
     )
     def test_matches_exhaustive_search(self, r, h0_value, variant):
         h0 = [h0_value] * len(r)
-        assert institutionness_value(r, h0, variant) == _brute_force_institutionness(
+        assert institutionness_value(_sparse(r), h0, variant) == brute_force_institutionness(
             r, h0, variant
         )
 
@@ -156,11 +147,11 @@ class TestInstitutionness:
     )
     def test_monotone_in_references(self, r, h0_value, data):
         h0 = [h0_value] * len(r)
-        before = institutionness_value(r, h0)
+        before = institutionness_value(_sparse(r), h0)
         idx = data.draw(st.integers(min_value=0, max_value=len(r) - 1))
         bumped = list(r)
         bumped[idx] += data.draw(st.integers(min_value=1, max_value=10))
-        assert institutionness_value(bumped, h0) >= before
+        assert institutionness_value(_sparse(bumped), h0) >= before
 
 
 def _near(x):
@@ -197,7 +188,7 @@ class TestInstitutionnessBoundaries:
     def test_boundary_rates_per_window(self, windows, variant):
         r = [rt for rt, _ in windows]
         h0 = [h0t for _, h0t in windows]
-        assert institutionness_value(r, h0, variant) == _brute_force_institutionness(
+        assert institutionness_value(_sparse(r), h0, variant) == brute_force_institutionness(
             r, h0, variant
         )
 
@@ -207,7 +198,7 @@ class TestInstitutionnessBoundaries:
         for _ in range(100):
             r = [rng.choice((0, rng.randint(1, 80))) for _ in range(78)]
             h0 = [None if rng.random() < 0.1 else rng.choice(BOUNDARY_H0) for _ in range(78)]
-            assert institutionness_value(r, h0, variant) == _brute_force_institutionness(
+            assert institutionness_value(_sparse(r), h0, variant) == brute_force_institutionness(
                 r, h0, variant
             ), (r, h0)
 
@@ -222,12 +213,12 @@ class TestInstitutionnessBoundaries:
     )
     def test_product_one_ulp_off_the_bound(self, rt, h0t, windows, want):
         r, h0 = [rt] * windows, [h0t] * windows
-        assert institutionness_value(r, h0) == want
-        assert _brute_force_institutionness(r, h0, "literal") == want
+        assert institutionness_value(_sparse(r), h0) == want
+        assert brute_force_institutionness(r, h0, "literal") == want
 
     @pytest.mark.parametrize("variant", INSTITUTIONNESS_VARIANTS)
     def test_large_exact_case(self, variant):
-        assert institutionness_value([50] * 2000, [1.0] * 2000, variant) == 50
+        assert institutionness_value(_sparse([50] * 2000), [1.0] * 2000, variant) == 50
 
 
 series_strategy = st.lists(
@@ -239,76 +230,83 @@ series_strategy = st.lists(
 )
 
 
+def _comb_improvements(r, d):
+    """Per-window improvements from exact binomial coefficients (math.comb)."""
+    p0 = sum(r) / sum(d)
+    p1 = min(2.0 * p0, 1.0 - 1e-9)
+    out = []
+    for rt, dt in zip(r, d):
+        costs = []
+        for ps in (p0, p1):
+            ln_likelihood = math.log(math.comb(dt, rt))
+            if rt > 0:
+                ln_likelihood += rt * math.log(ps)
+            if dt - rt > 0:
+                ln_likelihood += (dt - rt) * math.log(1.0 - ps)
+            costs.append(-ln_likelihood)
+        out.append(costs[0] - costs[1])
+    return out
+
+
+def _assert_episodes_follow(episodes, improvements, tol=1e-9):
+    """Each episode weighs its windows' summed improvement, and every window
+    improving by more than ``tol`` lies in exactly one episode."""
+    covered = set()
+    for onset, end, weight in episodes:
+        assert weight == pytest.approx(sum(improvements[onset - 1 : end]), abs=tol)
+        for w in range(onset, end + 1):
+            assert improvements[w - 1] > -tol
+            assert w not in covered
+            covered.add(w)
+    assert {w for w, imp in enumerate(improvements, 1) if imp > tol} <= covered
+
+
 class TestBurstCosts:
     def test_known_improvement_at_spike_window(self):
         # base rate 6/20; boosted window: 5*ln 2 + 5*ln(4/7)
-        improvements = burst_improvements([1, 5], [10, 10])
+        improvements = improvement_closed_form([1, 5], [10, 10])
         assert improvements[1] == pytest.approx(0.667656963122613, abs=1e-12)
         assert improvements[0] < 0
 
     def test_constant_rate_never_prefers_burst_state(self):
-        for g0, g1 in burst_costs([2, 4, 6], [10, 20, 30]):
-            assert g0 <= g1 + 1e-12
+        r, d = [2, 4, 6], [10, 20, 30]
+        assert all(imp <= 1e-12 for imp in improvement_closed_form(r, d))
+        assert burst_episodes(_sparse(r), d) == []
 
     def test_saturated_series_has_finite_costs(self):
-        for g0, g1 in burst_costs([5, 5], [5, 5]):
-            assert math.isfinite(g0) and math.isfinite(g1)
+        # p0 == 1: ln(1 - p0) is never taken
+        assert all(math.isfinite(imp) for imp in improvement_closed_form([5, 5], [5, 5]))
+        assert burst_episodes({1: 5, 2: 5}, [5, 5]) == []
 
     def test_empty_window_costs_nothing(self):
-        assert burst_costs([3, 0], [9, 0])[1] == (0.0, 0.0)
+        assert improvement_closed_form([3, 0], [9, 0])[1] == 0.0
+        assert log_gamma_costs([3, 0], [9, 0])[1] == (0.0, 0.0)
 
     def test_no_references_rejected(self):
         with pytest.raises(ValueError):
-            burst_costs([0, 0], [5, 5])
+            improvement_closed_form([0, 0], [5, 5])
+        assert burst_episodes({}, [5, 5]) == []
 
     @given(series_strategy)
     def test_matches_combinatorial_oracle(self, rd):
         r, d = rd
-        total_r, total_d = sum(r), sum(d)
-        p0 = total_r / total_d
-        p1 = min(2.0 * p0, 1.0 - 1e-9)
-        for (g0, g1), rt, dt in zip(burst_costs(r, d), r, d):
-            if dt == 0:
-                assert (g0, g1) == (0.0, 0.0)
-                continue
-            for got, ps in ((g0, p0), (g1, p1)):
-                expected = math.log(math.comb(dt, rt))
-                if rt > 0:
-                    expected += rt * math.log(ps)
-                if dt - rt > 0:
-                    expected += (dt - rt) * math.log(1.0 - ps)
-                assert got == pytest.approx(-expected, abs=1e-9)
+        exact = _comb_improvements(r, d)
+        for (g0, g1), want in zip(log_gamma_costs(r, d), exact):
+            assert g0 - g1 == pytest.approx(want, abs=1e-9)
+        _assert_episodes_follow(burst_episodes(_sparse(r), d), exact)
 
     @given(series_strategy)
     def test_closed_form_matches_log_gamma_route(self, rd):
         r, d = rd
-        for via_costs, direct in zip(burst_improvements(r, d), improvement_closed_form(r, d)):
-            assert via_costs == pytest.approx(direct, abs=1e-9)
-
-
-def _log_gamma_costs(r, d):
-    """The per-window log-gamma costs, evaluated one window and one state at a time."""
-    p0 = sum(r) / sum(d)
-    p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
-    costs = []
-    for rt, dt in zip(r, d):
-        if dt == 0:
-            costs.append((0.0, 0.0))
-            continue
-        ln_choose = math.lgamma(dt + 1) - math.lgamma(rt + 1) - math.lgamma(dt - rt + 1)
-        pair = []
-        for ps in (p0, p1):
-            cost = ln_choose
-            if rt > 0:
-                cost += rt * math.log(ps)
-            if dt - rt > 0:
-                cost += (dt - rt) * math.log(1.0 - ps)
-            pair.append(-cost)
-        costs.append(tuple(pair))
-    return costs
+        closed = improvement_closed_form(r, d)
+        for (g0, g1), direct in zip(log_gamma_costs(r, d), closed):
+            assert g0 - g1 == pytest.approx(direct, abs=1e-9)
+        _assert_episodes_follow(burst_episodes(_sparse(r), d), closed)
 
 
 class TestBurstBitIdentity:
+    """Episodes equal, bit for bit, the runs of the dense per-window log-gamma costs."""
+
     def test_seventy_eight_window_series(self):
         rng = random.Random(2002)
         for _ in range(300):
@@ -316,49 +314,51 @@ class TestBurstBitIdentity:
             r = [rng.choice((0, 0, rng.randint(0, dt))) for dt in d]
             if sum(r) == 0:
                 continue
-            costs = _log_gamma_costs(r, d)
-            improvements = [g0 - g1 for g0, g1 in costs]
-            assert burst_costs(r, d) == costs
-            assert burst_improvements(r, d) == improvements
-            for onset, end, weight in burst_episodes(r, d):
-                assert weight == sum(improvements[onset - 1 : end])
+            assert burst_episodes(_sparse(r), d) == episodes_from_costs(log_gamma_costs(r, d))
 
     def test_every_reference_in_its_own_window(self):
         # r == d gives p0 == 1, where ln(1 - p0) is a math domain error.
         r = d = [3, 0, 5, 1]
-        assert burst_costs(r, d) == _log_gamma_costs(r, d)
-        assert burst_episodes(r, d) == []
+        assert burst_episodes(_sparse(r), d) == episodes_from_costs(log_gamma_costs(r, d)) == []
+
+    def test_clamp_bursts_a_window_without_references(self):
+        # p0 = 2e9 / (2e9 + 1) > 1 - 1e-9, so the clamp puts p1 below p0 and
+        # window 2, with no reference to the fact, is the cheaper one to burst.
+        r, d = [2 * 10**9, 0], [2 * 10**9, 1]
+        want = episodes_from_costs(log_gamma_costs(r, d))
+        assert want == [(2, 2, 0.6931470695376483)]
+        assert burst_episodes(_sparse(r), d) == want
 
 
 class TestEpisodes:
     def test_constant_rate_has_no_episodes(self):
-        assert burst_episodes([2, 2], [10, 10]) == []
+        assert burst_episodes({1: 2, 2: 2}, [10, 10]) == []
 
     def test_single_spike_single_episode(self):
-        episodes = burst_episodes([1, 5], [10, 10])
+        episodes = burst_episodes({1: 1, 2: 5}, [10, 10])
         assert len(episodes) == 1
         onset, end, weight = episodes[0]
         assert (onset, end) == (2, 2)
         assert weight == pytest.approx(0.667656963122613, abs=1e-12)
 
     def test_maximal_runs_split_on_negative_window(self):
-        episodes = burst_episodes([3, 3, 0, 3], [10, 10, 40, 10])
+        episodes = burst_episodes(_sparse([3, 3, 0, 3]), [10, 10, 40, 10])
         assert [(onset, end) for onset, end, _ in episodes] == [(1, 2), (4, 4)]
 
     def test_zero_volume_window_splits_runs(self):
-        episodes = burst_episodes([6, 0, 6, 0], [10, 0, 10, 40])
+        episodes = burst_episodes(_sparse([6, 0, 6, 0]), [10, 0, 10, 40])
         assert [(onset, end) for onset, end, _ in episodes] == [(1, 1), (3, 3)]
 
     def test_unreferenced_fact_has_no_episodes(self):
-        assert burst_episodes([0], [0]) == []
+        assert burst_episodes({}, [0]) == []
 
     @given(series_strategy)
     def test_episodes_cover_positive_windows_exactly(self, rd):
         r, d = rd
-        improvements = burst_improvements(r, d)
+        improvements = [g0 - g1 for g0, g1 in log_gamma_costs(r, d)]
         covered = set()
-        for onset, end, weight in burst_episodes(r, d):
-            assert weight == pytest.approx(sum(improvements[onset - 1 : end]), abs=1e-9)
+        for onset, end, weight in burst_episodes(_sparse(r), d):
+            assert weight == sum(improvements[onset - 1 : end])
             for w in range(onset, end + 1):
                 assert improvements[w - 1] > 0
                 assert w not in covered
@@ -427,6 +427,44 @@ class TestFactMeasures:
             for g in ("A", "B")
         }
         assert tops == {"A": 1.0, "B": 1.0}
+
+
+# Cell sets over 2-8 windows: empty windows, lone active groups (D never is),
+# count ties, another practice's cells, and counts large enough for the clamp.
+fact_cells = st.integers(min_value=2, max_value=8).flatmap(
+    lambda count: st.tuples(
+        st.just(count),
+        st.dictionaries(
+            st.tuples(
+                st.sampled_from("ABC"),
+                st.integers(min_value=1, max_value=count),
+                st.sampled_from(("tagging", "mentioning")),
+            ),
+            st.dictionaries(
+                st.sampled_from("abcde"),
+                st.sampled_from((1, 1, 2, 2, 3, 5, 8, 2 * 10**9)),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+class TestDenseReference:
+    @given(fact_cells, st.sampled_from(INSTITUTIONNESS_VARIANTS))
+    @example((3, {("A", 1, "tagging"): {"a": 2 * 10**9}, ("A", 3, "tagging"): {"b": 1}}),
+             "literal")
+    @example((2, {("B", 2, "tagging"): {"a": 2, "b": 2}}), "normalized")
+    def test_fact_measures_equal_dense_reference(self, count_cells, variant):
+        count, cells = count_cells
+        spec = WindowSpec(epoch=0.0, count=count, width=1.0)
+        groups = ["A", "B", "C", "D"]
+        rows = fact_measures(cells, spec, groups, "tagging", variant)
+        assert [dataclasses.astuple(row) for row in rows] == fact_rows(
+            cells, count, groups, "tagging", variant
+        )
 
 
 def test_fact_csv_golden(tmp_path):
