@@ -8,6 +8,7 @@ measures surface as null points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -27,8 +28,8 @@ class WindowSpec:
     width: float = DEFAULT_WIDTH
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("window width must be positive")
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise ValueError("window width must be positive and finite")
         if self.count < 1:
             raise ValueError("window count must be at least 1")
 

@@ -124,7 +124,9 @@ def extract_facts(
     """
     roster = roster or ()
 
-    rt_matches = list(_RT_RE.finditer(text))
+    # Only ASCII letters match the marker's (?i:R) and (?i:T), so a text whose
+    # lowercase form lacks "rt" has no marker.
+    rt_matches = list(_RT_RE.finditer(text)) if "rt" in text.lower() else []
     if rt_matches:
         rt_spans = [m.span() for m in rt_matches]
         retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
@@ -217,7 +219,10 @@ def parse_timestamp(value) -> float:
 
 @dataclass
 class IngestResult:
-    """Validated transactions plus an accounting of every skipped record."""
+    """Validated transactions plus an accounting of every skipped record.
+
+    ``transactions`` is the sink that ``load_corpus`` was given: a list by default.
+    """
 
     transactions: list[Transaction] = field(default_factory=list)
     records_read: int = 0
@@ -261,6 +266,7 @@ def load_corpus(
     window: tuple[float, float],
     restrict_to_roster: bool = True,
     include_retweet_hashtags: bool = True,
+    sink=None,
 ) -> IngestResult:
     """Single-pass ingest of line-delimited records into Transactions.
 
@@ -279,9 +285,13 @@ def load_corpus(
     Each line is bytes, decoded as UTF-8 on its own after a leading byte
     order mark is dropped (a line holding only one is blank); a line that
     does not decode is malformed.
+
+    Each Transaction goes to ``sink.append`` as it is emitted; ``sink``, a new
+    list by default, is the result's ``transactions``.
     """
     start, end = window
-    result = IngestResult()
+    result = IngestResult([] if sink is None else sink)
+    emit = result.transactions.append
     seen_bits: dict[str, int] = {}
 
     for line_no, line in enumerate(lines, 1):
@@ -350,9 +360,7 @@ def load_corpus(
         emitted = False
         for practice, keys in keys_by_practice.items():
             if keys:
-                result.transactions.append(
-                    Transaction(rec_id, author, group, ts, practice, tuple(keys))
-                )
+                emit(Transaction(rec_id, author, group, ts, practice, tuple(keys)))
                 emitted = True
         if not emitted:
             result.skipped["no_facts"] += 1
@@ -396,7 +404,24 @@ def transaction_line(t: Transaction) -> str:
             f'"user": {quote(t.author)}}}')
 
 
+class TransactionWriter:
+    """A sink writing each transaction to ``fh`` as a line; its length counts them."""
+
+    def __init__(self, fh):
+        self._write = fh.write
+        self._count = 0
+
+    def append(self, t: Transaction) -> None:
+        self._write(transaction_line(t) + "\n")
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+
 def write_transactions_jsonl(transactions: Iterable[Transaction], path) -> None:
     """Write a stream in the pre-extracted record schema, one object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(transaction_line(t) + "\n" for t in transactions)
+        writer = TransactionWriter(fh)
+        for t in transactions:
+            writer.append(t)

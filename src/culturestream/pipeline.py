@@ -33,11 +33,11 @@ from . import binning, facts, measures, network
 from .corpus import (
     PRACTICES,
     USER_PRACTICES,
+    TransactionWriter,
     load_corpus,
     load_roster,
     parse_timestamp,
     write_ingest_report,
-    write_transactions_jsonl,
 )
 from .errors import ConfigError, DataError
 
@@ -229,14 +229,16 @@ def _config_echo(config: RunConfig) -> dict:
     return {s.name: _plain(getattr(config, s.name)) for s in SETTINGS if s.name != "out_dir"}
 
 
-def _load(config: RunConfig):
+def _load(config: RunConfig, sink=None):
     """Validate, read the roster and corpus, and make the output directory.
 
-    Nothing is written before the configuration validates and both inputs
-    have been read.  The corpus is read as bytes and each line decoded on its
-    own, so a byte order mark is ignored and a line that is not UTF-8 counts
-    as malformed.  Records are kept inside the window grid's span.  Returns
-    (window grid, roster, ingest result, output directory).
+    Nothing is written to the output directory before the configuration
+    validates and both inputs have been read; a ``sink`` given for the
+    transactions (see ``load_corpus``) must therefore write elsewhere.  The
+    corpus is read as bytes and each line decoded on its own, so a byte order
+    mark is ignored and a line that is not UTF-8 counts as malformed.  Records
+    are kept inside the window grid's span.  Returns (window grid, roster,
+    ingest result, output directory).
     """
     config.validate()
     spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
@@ -255,6 +257,7 @@ def _load(config: RunConfig):
             (spec.epoch, spec.end),
             restrict_to_roster=config.restrict_to_roster,
             include_retweet_hashtags=config.include_retweet_hashtags,
+            sink=sink,
         )
     if ingest.malformed_lines:
         logger.warning(
@@ -368,8 +371,22 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
 
 
 def run_ingest(config: RunConfig) -> dict:
-    """Ingest only: normalized transaction stream plus the skip report."""
-    _, _, ingest, out = _load(config)
-    write_transactions_jsonl(ingest.transactions, out / "transactions.jsonl")
+    """Ingest only: normalized transaction stream plus the skip report.
+
+    Transactions are written as they are emitted, to a temporary file outside
+    the output directory that becomes ``transactions.jsonl`` once the pass has
+    completed, so memory grows with the distinct record ids only.
+    """
+    # Imported here so that report does not pay for them.
+    import shutil
+    import tempfile
+
+    tmp = tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".jsonl", delete=False)
+    try:
+        with tmp:
+            _, _, ingest, out = _load(config, TransactionWriter(tmp))
+        shutil.copyfile(tmp.name, out / "transactions.jsonl")
+    finally:
+        Path(tmp.name).unlink()
     write_ingest_report(ingest, out / "ingest_report.csv")
     return _ingest_counts(ingest)

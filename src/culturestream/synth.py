@@ -26,6 +26,7 @@ ingest layer consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,6 +69,8 @@ class SynthConfig:
             raise ValueError("hom must be in [0, 1]")
         if self.windows < 1 or self.rate < 0:
             raise ValueError("need windows >= 1 and rate >= 0")
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise ValueError("window width must be positive and finite")
         if self.warmup_facts < 0 or self.warmup_tokens < 1:
             raise ValueError("need warmup_facts >= 0 and warmup_tokens >= 1")
         bad = [p for p in self.practices if p not in PRACTICES]

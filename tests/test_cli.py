@@ -112,6 +112,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-5", "0"])
+    def test_synth_bad_width_is_usage_error(self, tmp_path, capsys, width):
+        out = tmp_path / "s"
+        args = ["synth", "--out", str(out), "--weeks", "2", "--groups", "A:2"]
+        assert main([*args, "--width-seconds", width]) == 1
+        err = capsys.readouterr().err
+        assert "window width must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_burst_spec_is_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "s"), "--burst", "storm:7"])
         assert code == 1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +14,7 @@ import extract_oracle
 from culturestream.corpus import (
     MALFORMED_SAMPLE,
     PRACTICES,
+    _RT_RE,
     IngestResult,
     Transaction,
     extract_facts,
@@ -118,6 +121,16 @@ class TestExtraction:
     def test_plain_text_has_no_facts(self):
         facts = extract_facts("just words here", set())
         assert all(not keys for keys in facts.values())
+
+    def test_rt_prescreen_is_sound_over_every_code_point(self):
+        # extract_facts scans for retweets only when "rt" is in the lowercased
+        # text.  No marker is missed because the marker's (?i:R) and (?i:T)
+        # match only the two ASCII cases of each letter.
+        assert "(?i:RT)" in _RT_RE.pattern
+        code_points = [chr(c) for c in range(sys.maxunicode + 1)]
+        for letter in "RT":
+            matches = re.compile(f"(?i:{letter})").fullmatch
+            assert [c for c in code_points if matches(c)] == [letter, letter.lower()]
 
     @given(_TEXTS)
     @example("#RT @carol: #after")

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from culturestream import pipeline
 from culturestream.cli import main
 from culturestream.errors import ConfigError, DataError
 from culturestream.pipeline import (
@@ -16,7 +21,13 @@ from culturestream.pipeline import (
     run_ingest,
     run_pipeline,
 )
-from culturestream.corpus import write_transactions_jsonl
+from culturestream.corpus import (
+    PRACTICES,
+    Transaction,
+    load_corpus,
+    load_roster,
+    write_transactions_jsonl,
+)
 from culturestream.synth import SynthConfig, generate, write_roster_csv
 from test_golden import RAW_SETTINGS, _write_raw_inputs
 
@@ -371,6 +382,117 @@ class TestRunIngest:
         with open(config.out_dir / "transactions.jsonl", encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == counts["transactions"]
         assert counts["records_read"] >= counts["transactions"]
+
+
+def _expected_stream(config, path) -> dict:
+    """Write the list route's transactions.jsonl for ``config`` to ``path``; its counts."""
+    with open(config.roster, encoding="utf-8") as fh:
+        roster = load_roster(fh)
+    with open(config.corpus, "rb") as fh:
+        result = load_corpus(
+            fh, roster, (config.epoch, config.epoch + config.count * config.width),
+            config.restrict_to_roster, config.include_retweet_hashtags,
+        )
+    write_transactions_jsonl(result.transactions, path)
+    return {"records_read": result.records_read, "transactions": len(result.transactions),
+            "skipped": result.skipped}
+
+
+# Corpus lines for the streamed ingest: repeated ids, an unknown author,
+# timestamps on both sides of the window [0, 1000), bad practices and facts,
+# and dirt (blank, BOM-only, non-UTF-8 and non-object lines).
+_IDS = st.sampled_from(["m1", "m2", "m3", 4, 5])
+_USERS = st.sampled_from(["alice", "@Bob", "carol", "dave", "ghost"])
+_TIMES = st.sampled_from([0, 10.5, 999.9, 1000, -1, "1970-01-01T00:05:00Z", "soon"])
+_RAW = st.builds(
+    lambda i, u, t, words: {"id": i, "user": u, "timestamp": t, "text": " ".join(words)},
+    _IDS, _USERS, _TIMES,
+    st.lists(st.sampled_from(["RT @carol:", "@dave", "#Tag", "#tag", "#Tág", "@ghost", "hi"]),
+             max_size=5),
+)
+_PRE = st.builds(
+    lambda i, u, t, p, f: {"id": i, "user": u, "timestamp": t, "practice": p, "facts": f},
+    _IDS, _USERS, _TIMES, st.sampled_from([*PRACTICES, "following", None]),
+    st.one_of(st.lists(st.sampled_from(["#x", "carol", "@Dave", "ghost", "", 7]), max_size=3),
+              st.just("x")),
+)
+_LINES = st.lists(st.one_of(
+    st.one_of(_RAW, _PRE).map(lambda record: json.dumps(record).encode()),
+    st.sampled_from([b"", b"  ", b"\xef\xbb\xbf", b"\xff\xfe", b"[]", b"not json", b'{"id": "m9"}']),
+), max_size=25)
+
+
+class TestStreamedIngest:
+    """``ingest`` writes each transaction as it is emitted, not from a list."""
+
+    @given(lines=_LINES, restrict=st.booleans(), retweet_hashtags=st.booleans())
+    def test_stream_equals_the_list_route(self, tmp_path_factory, lines, restrict,
+                                          retweet_hashtags):
+        tmp = tmp_path_factory.mktemp("stream")
+        (tmp / "corpus.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
+        (tmp / "roster.csv").write_text("user,group\nalice,A\nbob,A\ncarol,B\ndave,B\n")
+        config = build_run_config({
+            "corpus": str(tmp / "corpus.jsonl"), "roster": str(tmp / "roster.csv"),
+            "out": str(tmp / "out"), "epoch": "0", "weeks": "2", "width_seconds": "500",
+            "restrict_to_roster": str(restrict), "retweet_hashtags": str(retweet_hashtags),
+        })
+        counts = run_ingest(config)
+        assert counts == _expected_stream(config, tmp / "expected.jsonl")
+        written = (tmp / "out" / "transactions.jsonl").read_bytes()
+        assert written == (tmp / "expected.jsonl").read_bytes()
+
+    def test_rerun_replaces_the_stream_and_writes_only_two_artifacts(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        run_ingest(build_run_config(values))
+        corpus = tmp_path / "corpus.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(b"".join(lines[: len(lines) // 2]))
+        config = build_run_config(values)
+        counts = run_ingest(config)
+        assert counts == _expected_stream(config, tmp_path / "expected.jsonl")
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["ingest_report.csv", "transactions.jsonl"]
+        assert (out / "transactions.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+    def test_failed_pass_leaves_no_stream_and_no_temporary_file(self, tmp_path, monkeypatch):
+        values = _small_inputs(tmp_path)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        def failing_load(lines, roster, window, *args, sink, **kwargs):
+            for n in range(3):
+                sink.append(Transaction(f"m{n}", "a000", "A", 1.0, "tagging", ("x",)))
+            assert len(list(scratch.iterdir())) == 1  # the stream goes to a temporary file
+            raise OSError("device went away")
+
+        monkeypatch.setattr(pipeline, "load_corpus", failing_load)
+        assert main(["ingest", *(f"--{k}={v}" for k, v in values.items())]) == 2
+        assert not (tmp_path / "out").exists()
+        assert list(scratch.iterdir()) == []
+
+    def test_peak_memory_does_not_hold_the_transactions(self, tmp_path):
+        values = _small_inputs(tmp_path, groups=[("A", 100), ("B", 100)], windows=4, rate=8.0)
+        values["weeks"] = "4"
+        config = build_run_config(values)
+        with open(config.roster, encoding="utf-8") as fh:
+            roster = load_roster(fh)
+        run_ingest(config)  # fills the key normalizers' caches and imports what ingest uses
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def listed():
+            with open(config.corpus, "rb") as fh:
+                result = load_corpus(fh, roster, (0.0, 4 * config.width))
+            assert len(result.transactions) > 18_000
+
+        assert peak(lambda: run_ingest(config)) < peak(listed) / 2
 
 
 class TestIngestRoundTrip:

@@ -58,6 +58,11 @@ class TestWindowSpec:
         with pytest.raises(ValueError):
             WindowSpec(epoch=0.0, count=3, width=0.0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(ValueError, match="window width must be positive and finite"):
+            WindowSpec(0.0, 3, width)
+
     @given(st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
     def test_index_consistent_with_start(self, ts):
         spec = WindowSpec(epoch=0.0, count=10, width=604800.0)

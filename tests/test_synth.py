@@ -47,6 +47,10 @@ class TestConfig:
             dict(warmup_tokens=0),
             dict(practices=()),
             dict(practices=("tagging", "blogging")),
+            dict(width=float("nan")),
+            dict(width=float("inf")),
+            dict(width=0.0),
+            dict(width=-5.0),
         ],
     )
     def test_invalid_values_rejected(self, bad):
