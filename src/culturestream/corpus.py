@@ -80,9 +80,8 @@ class Transaction(NamedTuple):
     facts: tuple[str, ...]
 
 
-# Keys repeat across records (authors, popular hashtags), so the two key
-# normalizers are memoized; an exception is never cached, so a bad handle
-# raises on every call.
+# Authors repeat on every record, so the handle normalizer is memoized; an
+# exception is never cached, so a bad handle raises on every call.
 @lru_cache(maxsize=1 << 16)
 def normalize_handle(raw: str) -> str:
     """Canonical user handle: leading '@' stripped, lowercased.
@@ -97,9 +96,10 @@ def normalize_handle(raw: str) -> str:
     return handle
 
 
-@lru_cache(maxsize=1 << 16)
 def fold_hashtag(token: str) -> str:
     """ASCII-fold and lowercase a hashtag token; may return ''."""
+    if token.isascii():  # NFKD leaves ASCII as it is
+        return token.lower()
     folded = unicodedata.normalize("NFKD", token).encode("ascii", "ignore").decode("ascii")
     return folded.lower()
 
@@ -287,11 +287,13 @@ def load_corpus(
     does not decode is malformed.
 
     Each Transaction goes to ``sink.append`` as it is emitted; ``sink``, a new
-    list by default, is the result's ``transactions``.
+    list by default, is the result's ``transactions``.  Equal fact keys of
+    one pass are one object, and a practice is its ``PRACTICES`` member.
     """
     start, end = window
     result = IngestResult([] if sink is None else sink)
     emit = result.transactions.append
+    share = {}.setdefault
     seen_bits: dict[str, int] = {}
 
     for line_no, line in enumerate(lines, 1):
@@ -321,7 +323,12 @@ def load_corpus(
         pre_extracted = "practice" in rec or "facts" in rec
         if pre_extracted:
             practice = rec.get("practice")
-            bit = _PRACTICE_BIT[practice] if practice in PRACTICES else _NOT_A_PRACTICE_BIT
+            # Compared, not hashed: a list or dict practice stays malformed.
+            if practice in PRACTICES:
+                practice = PRACTICES[PRACTICES.index(practice)]
+                bit = _PRACTICE_BIT[practice]
+            else:
+                bit = _NOT_A_PRACTICE_BIT
         else:
             bit = -1
         seen = seen_bits.get(rec_id, 0)
@@ -360,7 +367,8 @@ def load_corpus(
         emitted = False
         for practice, keys in keys_by_practice.items():
             if keys:
-                emit(Transaction(rec_id, author, group, ts, practice, tuple(keys)))
+                emit(Transaction(rec_id, author, group, ts, practice,
+                                 tuple(map(share, keys, keys))))
                 emitted = True
         if not emitted:
             result.skipped["no_facts"] += 1

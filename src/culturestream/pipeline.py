@@ -281,19 +281,11 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     """Run the selected stages and return the manifest.
 
     A failure inside one practice is recorded in the manifest and does not
-    disturb the other practices' artifacts.
+    disturb the other practices' artifacts.  Every pass over the transactions
+    (binning, then each user graph) comes first, and the transactions are
+    released before the per-practice measures run.
     """
     spec, roster, ingest, out = _load(config)
-    if not ingest.transactions:
-        logger.warning("corpus produced no transactions; artifacts will be header-only")
-    groups = sorted(set(roster.values()))
-    vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
-    # Each practice's cells, split once, in binning order and with the same keys.
-    by_practice: dict[str, dict] = {practice: {} for practice in config.practices}
-    for key, vec in vectors.items():
-        if (split := by_practice.get(key[2])) is not None:
-            split[key] = vec
-
     artifacts: dict[str, int] = {}
     status: dict[str, str] = {}
 
@@ -305,8 +297,28 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
              practice)
         emit(f"edges_{practice}.csv", network.write_edges_csv, graph)
 
+    if not ingest.transactions:
+        logger.warning("corpus produced no transactions; artifacts will be header-only")
+    vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
+    # Each user graph, or the exception its build raised, for the practice loop.
+    graphs: dict[str, object] = {}
+    for practice in config.practices if "network" in stages else ():
+        if practice in USER_PRACTICES:
+            try:
+                graphs[practice] = network.build_graph(ingest.transactions, practice, roster)
+            except Exception as exc:
+                graphs[practice] = exc
     if "ingest" in stages:
         emit("ingest_report.csv", write_ingest_report, ingest)
+    counts = dict(_ingest_counts(ingest), dropped_outside_grid=dropped)
+    del ingest
+
+    groups = sorted(set(roster.values()))
+    # Each practice's cells, split once, in binning order and with the same keys.
+    by_practice: dict[str, dict] = {practice: {} for practice in config.practices}
+    for key, vec in vectors.items():
+        if (split := by_practice.get(key[2])) is not None:
+            split[key] = vec
 
     for practice, cells in by_practice.items():
         try:
@@ -322,8 +334,10 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
             if "facts" in stages:
                 rows = facts.fact_measures(cells, spec, groups, practice, config.inst_variant)
                 emit(f"facts_{practice}.csv", facts.write_fact_csv, rows)
-            if "network" in stages and practice in USER_PRACTICES:
-                emit_graph(practice, network.build_graph(ingest.transactions, practice, roster))
+            if practice in graphs:
+                if isinstance(graph := graphs.pop(practice), Exception):
+                    raise graph
+                emit_graph(practice, graph)
             status[practice] = "ok"
         except Exception as exc:  # isolate practice failures
             logger.exception("practice %s failed", practice)
@@ -359,7 +373,7 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
             json.dumps(echo, sort_keys=True).encode("utf-8")
         ).hexdigest(),
         "inputs": inputs,
-        "ingest": dict(_ingest_counts(ingest), dropped_outside_grid=dropped),
+        "ingest": counts,
         "artifacts": artifacts,
         "practices": status,
         "markers": echo["markers"],
@@ -384,7 +398,7 @@ def run_ingest(config: RunConfig) -> dict:
     tmp = tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".jsonl", delete=False)
     try:
         with tmp:
-            _, _, ingest, out = _load(config, TransactionWriter(tmp))
+            _, _, ingest, out = _load(config, TransactionWriter(tmp.file))
         shutil.copyfile(tmp.name, out / "transactions.jsonl")
     finally:
         Path(tmp.name).unlink()

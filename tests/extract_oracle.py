@@ -2,7 +2,7 @@
 
 The straightforward form of ``culturestream.corpus.extract_facts``: every
 mention is tested against every RT span, and every match is walked with its
-position.  The hashtag fold is repeated here without memoization.  Tests
+position.  The hashtag fold takes the NFKD route for every token.  Tests
 compare the production function with this one; the tool never calls it.
 """
 

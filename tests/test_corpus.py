@@ -74,6 +74,10 @@ class TestHashtagFolding:
     def test_non_latin_can_vanish(self):
         assert fold_hashtag("試験") == ""
 
+    def test_ascii_route_matches_the_nfkd_fold(self):
+        for code in range(128):
+            assert fold_hashtag(chr(code)) == extract_oracle.fold_hashtag(chr(code)), code
+
 
 class TestExtraction:
     def test_hashtags_deduped_case_folded(self):
@@ -344,6 +348,37 @@ class TestLoadCorpus:
         assert result.records_read == len({t.id for t in result.transactions}) + (
             result.skipped_total
         )
+
+
+class TestSharedValues:
+    """A pass holds each distinct fact key once, and each practice as its constant."""
+
+    def test_equal_keys_are_one_object_and_practices_are_constants(self, small_roster):
+        lines = [
+            _raw("r1", "alice", 1, "RT @Carol: #Wahl @DAVE #Café"),
+            _raw("r2", "bob", 2, "#wahl #CAFE @carol @dave"),
+            _pre("p1", "carol", 3, "tagging", ["#WAHL", "café", "Wähl"]),
+            _pre("p2", "dave", 4, "retweeting", ["@CAROL"]),
+            _pre("p3", "dave", 5, "mentioning", ["Carol", "ALICE"]),
+            _raw("r3", "dave", 6, "@Alice #Wähl"),
+        ]
+        result = load_corpus(lines, small_roster, SPAN)
+        first: dict[str, str] = {}
+        seen: dict[str, int] = {}
+        for t in result.transactions:
+            assert any(t.practice is p for p in PRACTICES), t
+            for fact in t.facts:
+                assert first.setdefault(fact, fact) is fact, (t, fact)
+                seen[fact] = seen.get(fact, 0) + 1
+        assert seen == {"wahl": 4, "cafe": 3, "carol": 4, "dave": 2, "alice": 2}
+
+    @pytest.mark.parametrize("practice", [["tagging"], {"tagging": 1}, 1, None],
+                             ids=["list", "dict", "number", "null"])
+    def test_non_string_practice_is_malformed(self, small_roster, practice):
+        lines = [_pre("p1", "alice", 1, practice, ["x"]), _pre("p1", "alice", 1, "tagging", ["x"])]
+        result = load_corpus(lines, small_roster, SPAN)
+        assert result.skipped["malformed"] == result.skipped_total == 1
+        assert [(t.id, t.practice) for t in result.transactions] == [("p1", "tagging")]
 
 
 class TestHostileLines:

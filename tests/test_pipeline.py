@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import tempfile
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from culturestream import pipeline
+from culturestream import facts, network, pipeline
 from culturestream.cli import main
 from culturestream.errors import ConfigError, DataError
 from culturestream.pipeline import (
@@ -262,6 +263,64 @@ class TestRunPipeline:
         assert ALL_STAGES == {"ingest", "vectors", "series", "facts", "network"}
 
 
+class TestPracticeIsolation:
+    def test_failing_graph_build_spares_every_other_artifact(self, demo_run, fixtures_dir,
+                                                             tmp_path, monkeypatch):
+        build_graph = network.build_graph
+
+        def failing(transactions, practice, roster):
+            if practice == "mentioning":
+                raise RuntimeError("graph store unavailable")
+            return build_graph(transactions, practice, roster)
+
+        monkeypatch.setattr(network, "build_graph", failing)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(fixtures_dir / "demo.cfg"), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["practices"]["mentioning"].startswith("failed:")
+
+        clean_out, clean = demo_run
+        missing = {"network_mentioning.csv", "edges_mentioning.csv"}
+        assert missing <= set(clean["artifacts"])
+        assert manifest["artifacts"] == {
+            name: rows for name, rows in clean["artifacts"].items() if name not in missing
+        }
+        assert {"vectors_mentioning.csv", "facts_mentioning.csv",
+                "focus_mentioning.csv"} <= set(manifest["artifacts"])
+        assert manifest["practices"] == dict(clean["practices"],
+                                             mentioning=manifest["practices"]["mentioning"])
+        assert {p.name for p in out.iterdir()} == set(manifest["artifacts"]) | {"manifest.json"}
+        for name in manifest["artifacts"]:
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
+
+
+class TestReleasedTransactions:
+    def test_list_is_released_before_the_fact_measures(self, tmp_path, monkeypatch):
+        class Sink(list):
+            """A list that a weak reference can point at."""
+
+        refs = []
+        load_corpus_ = pipeline.load_corpus
+        fact_measures = facts.fact_measures
+
+        def load_into_sink(*args, sink=None, **kwargs):
+            sink = Sink()
+            refs.append(weakref.ref(sink))
+            return load_corpus_(*args, sink=sink, **kwargs)
+
+        released = []
+
+        def recording(*args, **kwargs):
+            released.append(refs[0]() is None)
+            return fact_measures(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_corpus", load_into_sink)
+        monkeypatch.setattr(facts, "fact_measures", recording)
+        manifest = run_pipeline(build_run_config(_small_inputs(tmp_path)))
+        assert manifest["ingest"]["transactions"] > 0
+        assert released == [True] * len(PRACTICES)
+
+
 class TestByteOrderMark:
     """Roster and follow CSVs saved with a UTF-8 byte order mark are accepted."""
 
@@ -477,7 +536,7 @@ class TestStreamedIngest:
         config = build_run_config(values)
         with open(config.roster, encoding="utf-8") as fh:
             roster = load_roster(fh)
-        run_ingest(config)  # fills the key normalizers' caches and imports what ingest uses
+        run_ingest(config)  # fills the handle normalizer's cache and imports what ingest uses
 
         def peak(run) -> int:
             tracemalloc.start()
