@@ -51,13 +51,6 @@ SKIP_REASONS = ("malformed", "duplicate_id", "unknown_author", "outside_window",
 # IngestResult.malformed_lines keeps the first this many, not one per bad line.
 MALFORMED_SAMPLE = 20
 
-# Duplicate detection keeps, per id, a bit for each practice it was seen under.
-# A raw record speaks for every practice of its message, so it sets every bit
-# (-1).  Pre-extracted records whose practice is not a stream practice share
-# one more bit.
-_PRACTICE_BIT = {p: 1 << i for i, p in enumerate(PRACTICES)}
-_NOT_A_PRACTICE_BIT = 1 << len(PRACTICES)
-
 _HASHTAG_RE = re.compile(r"#(\w+)")
 # "RT username" and "RT @username", optional trailing colon.  Only the marker
 # ignores case, so a handle is ASCII here as in _MENTION_RE.
@@ -106,7 +99,7 @@ def fold_hashtag(token: str) -> str:
 
 def extract_facts(
     text: str,
-    roster: Optional[Container[str]] = None,
+    roster: Container[str],
     restrict_to_roster: bool = True,
     include_retweet_hashtags: bool = True,
 ) -> dict[str, list[str]]:
@@ -122,23 +115,14 @@ def extract_facts(
     the first RT marker are dropped (the part before it is the author's own
     comment).
     """
-    roster = roster or ()
-
     # Only ASCII letters match the marker's (?i:R) and (?i:T), so a text whose
     # lowercase form lacks "rt" has no marker.
     rt_matches = list(_RT_RE.finditer(text)) if "rt" in text.lower() else []
-    if rt_matches:
-        rt_spans = [m.span() for m in rt_matches]
-        retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
-        rt_set = set(retweetees)
-        mentions = dict.fromkeys(
-            m.group(1).lower() for m in _MENTION_RE.finditer(text)
-            if not any(start <= m.start() < end for start, end in rt_spans)
-        )
-        mentionees = [u for u in mentions if u not in rt_set]
-    else:
-        retweetees = []
-        mentionees = list(dict.fromkeys(u.lower() for u in _MENTION_RE.findall(text)))
+    retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
+    # The only "@" inside an RT span precedes that span's own handle, so every
+    # mention read there is a retweetee, and dropping retweetees drops it.
+    mentionees = [u for u in dict.fromkeys(u.lower() for u in _MENTION_RE.findall(text))
+                  if u not in retweetees]
 
     if restrict_to_roster:
         retweetees = [u for u in retweetees if u in roster]
@@ -194,7 +178,7 @@ def load_roster(lines: Iterable[str]) -> dict[str, str]:
 
 def parse_timestamp(value) -> float:
     """Finite epoch seconds from an int/float, a numeric string, or ISO-8601."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if type(value) in (int, float):
         try:
             seconds = float(value)
         except OverflowError:  # an int beyond the float range
@@ -307,7 +291,7 @@ def load_corpus(
             if not isinstance(rec, dict):
                 raise ValueError("record is not an object")
             rec_id, user = rec["id"], rec["user"]
-            if isinstance(rec_id, bool) or not isinstance(rec_id, (str, int)):
+            if type(rec_id) not in (str, int):
                 raise ValueError(f"id must be a string or an integer, got {rec_id!r}")
             if not isinstance(user, str):
                 raise ValueError(f"user must be a string, got {user!r}")
@@ -320,17 +304,16 @@ def load_corpus(
                              else str(exc))
             continue
 
+        # Duplicate detection keeps, per id, a bit for each practice it was seen
+        # under.  A raw record speaks for every practice of its message, so it
+        # sets every bit (-1).  Pre-extracted records whose practice is not a
+        # stream practice share one more bit, at index len(PRACTICES).  The
+        # practice is compared, not hashed: a list or dict one stays malformed.
         pre_extracted = "practice" in rec or "facts" in rec
         if pre_extracted:
             practice = rec.get("practice")
-            # Compared, not hashed: a list or dict practice stays malformed.
-            if practice in PRACTICES:
-                practice = PRACTICES[PRACTICES.index(practice)]
-                bit = _PRACTICE_BIT[practice]
-            else:
-                bit = _NOT_A_PRACTICE_BIT
-        else:
-            bit = -1
+            index = PRACTICES.index(practice) if practice in PRACTICES else len(PRACTICES)
+        bit = 1 << index if pre_extracted else -1
         seen = seen_bits.get(rec_id, 0)
         if seen & bit:
             result.skipped["duplicate_id"] += 1
@@ -346,11 +329,13 @@ def load_corpus(
             continue
 
         if pre_extracted:
-            if practice not in PRACTICES or not isinstance(rec.get("facts"), list):
+            facts = rec.get("facts")
+            if index == len(PRACTICES) or not isinstance(facts, list):
                 result.malformed(line_no, "bad practice/facts fields")
                 continue
+            practice = PRACTICES[index]
             keys_by_practice = {
-                practice: _facts_from_keys(practice, rec["facts"], roster, restrict_to_roster)
+                practice: _facts_from_keys(practice, facts, roster, restrict_to_roster)
             }
         else:
             text = rec.get("text")

@@ -187,8 +187,6 @@ def average_series(series_by_group: dict[str, Series]) -> Average:
     Null group-window points are skipped, not zero-filled: a silent group
     carries no signal.  Both are None where no group has a value.
     """
-    if not series_by_group:
-        raise ValueError("no group series to average")
     out = []
     for column in zip(*series_by_group.values()):
         values = [v for _, v in column if v is not None]
@@ -201,18 +199,14 @@ def average_series(series_by_group: dict[str, Series]) -> Average:
     return out
 
 
-def write_series_csv(
-    series_by_group: dict[str, Series],
-    average: Optional[Average],
-    path,
-) -> int:
+def write_series_csv(series_by_group: dict[str, Series], average: Average, path) -> int:
     """Export one measure as ``group,window,value,sd`` (sd filled for AVERAGE)."""
 
     def rows():
         for group in sorted(series_by_group):
             for window, value in series_by_group[group]:
                 yield group, window, fmt(value), ""
-        for window, mean, sd in average or ():
+        for window, mean, sd in average:
             yield AVERAGE, window, fmt(mean), fmt(sd)
 
     return write_csv(path, ["group", "window", "value", "sd"], rows())

@@ -329,7 +329,7 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
                     per_group = measures.build_series(
                         cells, spec, practice, groups, measure, config.rbo_p
                     )
-                    avg = measures.average_series(per_group) if per_group else None
+                    avg = measures.average_series(per_group)
                     emit(f"{measure}_{practice}.csv", measures.write_series_csv, per_group, avg)
             if "facts" in stages:
                 rows = facts.fact_measures(cells, spec, groups, practice, config.inst_variant)

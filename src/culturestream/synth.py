@@ -33,7 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .binning import DEFAULT_WIDTH
-from .corpus import PRACTICES, Transaction, write_csv
+from .corpus import PRACTICES, Transaction, normalize_handle, write_csv
+from .measures import AVERAGE
+from .network import TOTAL
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class SynthConfig:
             raise ValueError("alpha must be in (0, 1]")
         if not (0.0 <= self.hom <= 1.0):
             raise ValueError("hom must be in [0, 1]")
-        if self.windows < 1 or self.rate < 0:
-            raise ValueError("need windows >= 1 and rate >= 0")
+        if not (self.windows >= 1 and 0 <= self.rate < math.inf):
+            raise ValueError("need windows >= 1 and a finite rate >= 0")
         if not (self.width > 0 and math.isfinite(self.width)):
             raise ValueError("window width must be positive and finite")
         if self.warmup_facts < 0 or self.warmup_tokens < 1:
@@ -76,6 +78,23 @@ class SynthConfig:
         bad = [p for p in self.practices if p not in PRACTICES]
         if bad or not self.practices:
             raise ValueError(f"practices must be a non-empty subset of {PRACTICES}")
+        for inj in self.burst_injections:
+            if not (1 <= inj.onset <= inj.end <= self.windows):
+                raise ValueError(f"burst {inj.fact!r}: need 1 <= onset <= end <= {self.windows}")
+        seen = set()
+        for group, size in self.groups:
+            handle = f"{group.lower()}000"  # must come back from the roster file as written
+            try:
+                valid = bool(group) and normalize_handle(handle) == handle
+            except ValueError:
+                valid = False
+            problem = ("needs a non-empty name without whitespace or a leading '@'" if not valid
+                       else "is a name reserved for the output" if group in (AVERAGE, TOTAL)
+                       else "repeats an earlier name (ignoring case)" if handle in seen
+                       else f"needs size >= 1, got {size}" if size < 1 else None)
+            if problem:
+                raise ValueError(f"group {group!r} {problem}")
+            seen.add(handle)
 
     def roster(self) -> dict[str, str]:
         members = {}

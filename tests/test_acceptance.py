@@ -30,10 +30,7 @@ from culturestream.network import (
 from culturestream.pipeline import build_run_config, parse_config_file, run_pipeline
 from culturestream.selftest import _sparse
 from culturestream.synth import BurstInjection, SynthConfig, generate
-
-
-def _vec(counts):
-    return dict(counts)
+from reference_report import brute_force_institutionness
 
 
 # --- 1. measure bounds and identities on randomized vectors ----------------
@@ -45,7 +42,7 @@ def test_measure_bounds_and_identities_on_random_vectors():
     for _ in range(1000):
         size = rng.randint(1, 20)
         keys = rng.sample([f"f{i:03d}" for i in range(200)], size)
-        vectors.append(_vec({k: rng.randint(1, 100) for k in keys}))
+        vectors.append({k: rng.randint(1, 100) for k in keys})
 
     for vec in vectors:
         assert 0.0 <= focus(vec) <= 1.0
@@ -58,8 +55,8 @@ def test_measure_bounds_and_identities_on_random_vectors():
         )
         assert 0.0 <= r <= 1.0 + 1e-12
 
-    assert focus(_vec({"only": 17})) == 1.0
-    assert focus(_vec({"a": 4, "b": 4, "c": 4, "d": 4})) == pytest.approx(0.0, abs=1e-12)
+    assert focus({"only": 17}) == 1.0
+    assert focus({"a": 4, "b": 4, "c": 4, "d": 4}) == pytest.approx(0.0, abs=1e-12)
     some = vectors[0]
     assert pair_similarity(some, some) == pytest.approx(1.0, abs=1e-12)
     keys = rank_vector(some)
@@ -74,16 +71,16 @@ def test_measure_bounds_and_identities_on_random_vectors():
 def test_focus_oracle():
     # 1 - H(3/4, 1/4)/log2(2), evaluated with plain arithmetic
     expected = 1.0 - (-(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)))
-    assert focus(_vec({"a": 3, "b": 1})) == pytest.approx(expected, abs=1e-12)
-    assert focus(_vec({"a": 3, "b": 1})) == pytest.approx(0.1887, abs=1e-4)
+    assert focus({"a": 3, "b": 1}) == pytest.approx(expected, abs=1e-12)
+    assert focus({"a": 3, "b": 1}) == pytest.approx(0.1887, abs=1e-4)
 
 
 def test_similarity_oracle():
     # dot = 1, norms sqrt(2) and 1
-    assert pair_similarity(_vec({"a": 1, "b": 1}), _vec({"a": 1})) == pytest.approx(
+    assert pair_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
         1.0 / math.sqrt(2.0), abs=1e-12
     )
-    assert pair_similarity(_vec({"a": 1, "b": 1}), _vec({"a": 1})) == pytest.approx(
+    assert pair_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
         0.7071, abs=1e-4
     )
 
@@ -108,21 +105,6 @@ def test_burst_improvement_oracle_via_both_routes():
 
 # --- 3. institutionness scan equals exhaustive search ----------------------
 
-def _exhaustive_institutionness(r, h0, variant):
-    best = 0
-    for h in range(0, len(r) + 1):
-        satisfied = 0
-        for rt, h0t in zip(r, h0):
-            if h0t is None:
-                continue
-            ok = rt >= h / h0t if variant == "literal" else rt / h0t >= h
-            if ok:
-                satisfied += 1
-        if satisfied >= h:
-            best = max(best, h)
-    return best
-
-
 def test_institutionness_scan_matches_exhaustive_search():
     rng = random.Random(1374364800)
     mismatches = 0
@@ -133,7 +115,7 @@ def test_institutionness_scan_matches_exhaustive_search():
             for _ in range(13)
         ]
         for variant in ("literal", "normalized"):
-            if institutionness_value(_sparse(r), h0, variant) != _exhaustive_institutionness(
+            if institutionness_value(_sparse(r), h0, variant) != brute_force_institutionness(
                 r, h0, variant
             ):
                 mismatches += 1

@@ -122,6 +122,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--rate", "nan"], "finite rate"),
+        (["--rate", "inf"], "finite rate"),
+        (["--burst", "storm:5:9:3"], "burst 'storm'"),
+        (["--burst", "storm:3:2:3"], "burst 'storm'"),
+        (["--groups", ":2,B:2"], "group ''"),
+        (["--groups", "a b:2"], "group 'a b'"),
+        (["--groups", "TOTAL:2,B:2"], "group 'TOTAL'"),
+        (["--groups", "a:2,A:2"], "group 'A'"),
+        (["--groups", "A:-3"], "group 'A'"),
+    ])
+    def test_synth_config_report_would_reject_is_usage_error(self, tmp_path, capsys, args,
+                                                             message):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--weeks", "3", "--groups", "A:2", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_burst_spec_is_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "s"), "--burst", "storm:7"])
         assert code == 1

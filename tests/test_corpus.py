@@ -81,7 +81,7 @@ class TestHashtagFolding:
 
 class TestExtraction:
     def test_hashtags_deduped_case_folded(self):
-        facts = extract_facts("voting #Wahl today #wahl #btw13", restrict_to_roster=False)
+        facts = extract_facts("voting #Wahl today #wahl #btw13", set(), restrict_to_roster=False)
         assert facts["tagging"] == ["wahl", "btw13"]
 
     def test_retweet_forms(self):
@@ -119,7 +119,7 @@ class TestExtraction:
         # Only the RT marker ignores case: the Kelvin sign, long s and dotted
         # capital I are not handle letters, in a retweet as in a mention.
         for text in ("RT @\u212aarl: hi", "rt @\u017fam", "RT @\u0130van"):
-            facts = extract_facts(text, restrict_to_roster=False)
+            facts = extract_facts(text, set(), restrict_to_roster=False)
             assert facts["retweeting"] == facts["mentioning"] == [], text
 
     def test_plain_text_has_no_facts(self):

@@ -32,10 +32,6 @@ from reference_report import (
 )
 
 
-def _vec(counts):
-    return dict(counts)
-
-
 def _episode_rows(r, d):
     """One fact's episodes as output rows, burstiness holding the raw weight."""
     return [
@@ -48,9 +44,9 @@ class TestCollect:
     def test_facts_share_group_totals(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 2, "b": 1}),
-            ("A", 3, "tagging"): _vec({"a": 1}),
-            ("B", 2, "tagging"): _vec({"c": 9}),
+            ("A", 1, "tagging"): {"a": 2, "b": 1},
+            ("A", 3, "tagging"): {"a": 1},
+            ("B", 2, "tagging"): {"c": 9},
         }
         d, series = collect_fact_series(vectors, spec, "A", "tagging")
         assert list(series) == ["a", "b"]
@@ -72,7 +68,7 @@ class TestCollect:
     )
     def test_references_bounded_by_group_totals(self, cells):
         spec = WindowSpec(epoch=0.0, count=4, width=10.0)
-        vectors = {(g, w, "tagging"): _vec(counts) for (g, w), counts in cells.items()}
+        vectors = {(g, w, "tagging"): counts for (g, w), counts in cells.items()}
         for group in "AB":
             d, series = collect_fact_series(vectors, spec, group, "tagging")
             for r in series.values():
@@ -86,17 +82,17 @@ class TestAvgRate:
     def test_references_over_distinct_facts(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 3, "b": 1}),
-            ("A", 2, "tagging"): _vec({"a": 4}),
+            ("A", 1, "tagging"): {"a": 3, "b": 1},
+            ("A", 2, "tagging"): {"a": 4},
         }
         assert avg_rate(vectors, spec, "tagging") == [2.0, 4.0, None]
 
     def test_pools_across_groups_per_practice(self):
         spec = WindowSpec(epoch=0.0, count=1, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 2, "b": 2}),
-            ("B", 1, "tagging"): _vec({"a": 2}),
-            ("B", 1, "mentioning"): _vec({"zz": 50}),
+            ("A", 1, "tagging"): {"a": 2, "b": 2},
+            ("B", 1, "tagging"): {"a": 2},
+            ("B", 1, "mentioning"): {"zz": 50},
         }
         # 6 references over 2 distinct facts; the other practice is ignored
         assert avg_rate(vectors, spec, "tagging") == [3.0]
@@ -394,10 +390,10 @@ class TestFactMeasures:
         # steady and other hold a constant sub-50% share so neither ever
         # prefers the burst state; spike jumps from 1 to 9 references
         return {
-            ("A", 1, "tagging"): _vec({"steady": 10, "other": 10, "spike": 1}),
-            ("A", 2, "tagging"): _vec({"steady": 10, "other": 10, "spike": 9}),
-            ("A", 3, "tagging"): _vec({"steady": 10, "other": 10}),
-            ("B", 1, "tagging"): _vec({"steady": 2}),
+            ("A", 1, "tagging"): {"steady": 10, "other": 10, "spike": 1},
+            ("A", 2, "tagging"): {"steady": 10, "other": 10, "spike": 9},
+            ("A", 3, "tagging"): {"steady": 10, "other": 10},
+            ("B", 1, "tagging"): {"steady": 2},
         }
 
     def test_rows_cover_episodes_and_quiet_institutions(self):
@@ -416,10 +412,10 @@ class TestFactMeasures:
     def test_normalization_is_per_group(self):
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"x": 1, "pad": 19}),
-            ("A", 2, "tagging"): _vec({"x": 9, "pad": 11}),
-            ("B", 1, "tagging"): _vec({"y": 1, "pad": 19}),
-            ("B", 2, "tagging"): _vec({"y": 4, "pad": 16}),
+            ("A", 1, "tagging"): {"x": 1, "pad": 19},
+            ("A", 2, "tagging"): {"x": 9, "pad": 11},
+            ("B", 1, "tagging"): {"y": 1, "pad": 19},
+            ("B", 2, "tagging"): {"y": 4, "pad": 16},
         }
         rows = fact_measures(vectors, spec, ["A", "B"], "tagging")
         tops = {
@@ -470,8 +466,8 @@ class TestDenseReference:
 def test_fact_csv_golden(tmp_path):
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
     vectors = {
-        ("A", 1, "tagging"): _vec({"quiet": 20, "spike": 1}),
-        ("A", 2, "tagging"): _vec({"quiet": 20, "spike": 9}),
+        ("A", 1, "tagging"): {"quiet": 20, "spike": 1},
+        ("A", 2, "tagging"): {"quiet": 20, "spike": 9},
     }
     rows = fact_measures(vectors, spec, ["A"], "tagging")
     path = tmp_path / "facts.csv"

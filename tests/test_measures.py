@@ -20,10 +20,6 @@ from culturestream.measures import (
 )
 
 
-def _vec(counts):
-    return dict(counts)
-
-
 counts_strategy = st.dictionaries(
     st.text(alphabet="abcdefgh", min_size=1, max_size=3),
     st.integers(min_value=1, max_value=200),
@@ -34,56 +30,56 @@ counts_strategy = st.dictionaries(
 
 class TestFocus:
     def test_single_fact_is_one(self):
-        assert focus(_vec({"a": 7})) == 1.0
+        assert focus({"a": 7}) == 1.0
 
     def test_uniform_is_zero(self):
-        assert focus(_vec({"a": 5, "b": 5, "c": 5})) == pytest.approx(0.0, abs=1e-12)
+        assert focus({"a": 5, "b": 5, "c": 5}) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_skewed_pair(self):
         # 1 - H(3/4, 1/4) / log2(2) evaluated by hand
-        assert focus(_vec({"a": 3, "b": 1})) == pytest.approx(0.18872187554086717, abs=1e-12)
+        assert focus({"a": 3, "b": 1}) == pytest.approx(0.18872187554086717, abs=1e-12)
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            focus(_vec({}))
+            focus({})
 
     def test_concentration_raises_focus(self):
-        assert focus(_vec({"a": 99, "b": 1})) > focus(_vec({"a": 50, "b": 50}))
+        assert focus({"a": 99, "b": 1}) > focus({"a": 50, "b": 50})
 
     @given(counts_strategy)
     def test_bounded(self, counts):
-        assert 0.0 <= focus(_vec(counts)) <= 1.0
+        assert 0.0 <= focus(counts) <= 1.0
 
     @given(counts_strategy, st.integers(min_value=2, max_value=9))
     def test_scale_invariant(self, counts, k):
         scaled = {key: c * k for key, c in counts.items()}
-        assert focus(_vec(scaled)) == pytest.approx(focus(_vec(counts)), abs=1e-12)
+        assert focus(scaled) == pytest.approx(focus(counts), abs=1e-12)
 
 
 class TestPairSimilarity:
     def test_known_pair(self):
-        assert pair_similarity(_vec({"a": 1, "b": 1}), _vec({"a": 1})) == pytest.approx(
+        assert pair_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
             0.7071067811865475, abs=1e-12
         )
 
     def test_identical_is_one(self):
-        v = _vec({"a": 3, "b": 1, "c": 2})
+        v = {"a": 3, "b": 1, "c": 2}
         assert pair_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_is_zero(self):
-        assert pair_similarity(_vec({"a": 2}), _vec({"b": 5})) == 0.0
+        assert pair_similarity({"a": 2}, {"b": 5}) == 0.0
 
     @given(counts_strategy, counts_strategy)
     def test_symmetric_and_bounded(self, c1, c2):
-        s = pair_similarity(_vec(c1), _vec(c2))
-        assert s == pytest.approx(pair_similarity(_vec(c2), _vec(c1)), abs=1e-12)
+        s = pair_similarity(c1, c2)
+        assert s == pytest.approx(pair_similarity(c2, c1), abs=1e-12)
         assert 0.0 <= s <= 1.0 + 1e-12
 
     @given(counts_strategy, counts_strategy, st.integers(min_value=2, max_value=9))
     def test_scale_invariant(self, c1, c2, k):
         scaled = {key: c * k for key, c in c1.items()}
-        assert pair_similarity(_vec(scaled), _vec(c2)) == pytest.approx(
-            pair_similarity(_vec(c1), _vec(c2)), abs=1e-12
+        assert pair_similarity(scaled, c2) == pytest.approx(
+            pair_similarity(c1, c2), abs=1e-12
         )
 
 
@@ -93,10 +89,10 @@ class TestGroupSimilarity:
     def test_mean_over_other_active_groups(self):
         spec = WindowSpec(epoch=0.0, count=1, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 1, "b": 1}),
-            ("B", 1, "tagging"): _vec({"a": 1}),
-            ("C", 1, "tagging"): _vec({"c": 4}),
-            ("B", 1, "mentioning"): _vec({"b": 9}),
+            ("A", 1, "tagging"): {"a": 1, "b": 1},
+            ("B", 1, "tagging"): {"a": 1},
+            ("C", 1, "tagging"): {"c": 4},
+            ("B", 1, "mentioning"): {"b": 9},
         }
         series = build_series(vectors, spec, "tagging", ["A", "B", "C"], "similarity")
         # mean of cos(A,B)=1/sqrt(2) and cos(A,C)=0
@@ -106,16 +102,16 @@ class TestGroupSimilarity:
 
     def test_inactive_group_is_none(self):
         spec = WindowSpec(epoch=0.0, count=1, width=10.0)
-        vectors = {("B", 1, "tagging"): _vec({"a": 1})}
+        vectors = {("B", 1, "tagging"): {"a": 1}}
         series = build_series(vectors, spec, "tagging", ["A", "B"], "similarity")
         assert series["A"] == [(1, None)]
 
     def test_no_other_active_group_is_none(self):
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 1}),
-            ("B", 2, "tagging"): _vec({"a": 1}),
-            ("B", 1, "mentioning"): _vec({"a": 1}),
+            ("A", 1, "tagging"): {"a": 1},
+            ("B", 2, "tagging"): {"a": 1},
+            ("B", 1, "mentioning"): {"a": 1},
         }
         series = build_series(vectors, spec, "tagging", ["A", "B"], "similarity")
         assert series == {"A": [(1, None), (2, None)], "B": [(1, None), (2, None)]}
@@ -203,8 +199,8 @@ class TestRbo:
         assert rbo_extended(keys, keys, 0.9) == pytest.approx(1.0, abs=1e-12)
 
     def test_ranking_ties_break_by_fact_key(self):
-        v1 = _vec({"b": 2, "a": 2})
-        v2 = _vec({"a": 2, "b": 2})
+        v1 = {"b": 2, "a": 2}
+        v2 = {"a": 2, "b": 2}
         r1 = rank_vector(v1)
         r2 = rank_vector(v2)
         assert r1 == r2 == ["a", "b"]
@@ -214,10 +210,10 @@ class TestRbo:
 class TestSeries:
     def _vectors(self):
         return {
-            ("A", 1, "tagging"): _vec({"a": 3, "b": 1}),
-            ("A", 2, "tagging"): _vec({"a": 3, "b": 1}),
-            ("A", 3, "tagging"): _vec({"b": 9}),
-            ("B", 2, "tagging"): _vec({"a": 1}),
+            ("A", 1, "tagging"): {"a": 3, "b": 1},
+            ("A", 2, "tagging"): {"a": 3, "b": 1},
+            ("A", 3, "tagging"): {"b": 9},
+            ("B", 2, "tagging"): {"a": 1},
         }
 
     def test_reproduction_series_labels_later_window(self):
@@ -265,8 +261,8 @@ class TestSeries:
     def test_average_skips_nulls_and_uses_population_sd(self):
         spec = WindowSpec(epoch=0.0, count=2, width=10.0)
         vectors = {
-            ("A", 1, "tagging"): _vec({"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}),
-            ("B", 1, "tagging"): _vec({"a": 2, "b": 1}),
+            ("A", 1, "tagging"): {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1},
+            ("B", 1, "tagging"): {"a": 2, "b": 1},
         }
         series = build_series(vectors, spec, "tagging", ["A", "B", "C"], "focus")
         series["A"][0] = (1, 0.2)
@@ -275,12 +271,15 @@ class TestSeries:
         assert avg[0] == (1, pytest.approx(0.3), pytest.approx(0.1, abs=1e-12))
         assert avg[1] == (2, None, None)
 
+    def test_average_of_no_groups_is_empty(self):
+        assert average_series({}) == []
+
 
 def test_series_csv_golden(tmp_path):
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
     vectors = {
-        ("A", 1, "tagging"): _vec({"a": 1}),
-        ("A", 2, "tagging"): _vec({"a": 1}),
+        ("A", 1, "tagging"): {"a": 1},
+        ("A", 2, "tagging"): {"a": 1},
     }
     series = build_series(vectors, spec, "tagging", ["A"], "focus")
     avg = average_series(series)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from culturestream import facts, network, pipeline
+from culturestream import facts, measures, network, pipeline
 from culturestream.cli import main
 from culturestream.errors import ConfigError, DataError
 from culturestream.pipeline import (
@@ -250,6 +250,24 @@ class TestRunPipeline:
         assert manifest["artifacts"]["reproduction_tagging.csv"] == 4
         focus_lines = (tmp_path / "out" / "focus_tagging.csv").read_text().splitlines()
         assert focus_lines[1] == "A,1,,"
+
+    def test_header_only_roster_yields_header_only_series(self, tmp_path):
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"id": 1, "user": "alice", "timestamp": 5, "text": "#x @bob"}\n'
+        )
+        (tmp_path / "roster.csv").write_text("user,group\n")
+        out = tmp_path / "out"
+        assert main(["report", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--roster", str(tmp_path / "roster.csv"), "--out", str(out),
+                     "--epoch", "0", "--weeks", "3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["practices"].values()) == {"ok"}
+        assert manifest["ingest"]["skipped"]["unknown_author"] == 1
+        for practice in PRACTICES:
+            for measure in measures.MEASURES:
+                name = f"{measure}_{practice}.csv"
+                assert manifest["artifacts"][name] == 0
+                assert (out / name).read_bytes() == b"group,window,value,sd\r\n"
 
     def test_stage_subsets_limit_artifacts(self, tmp_path):
         values = _small_inputs(tmp_path)

@@ -51,6 +51,19 @@ class TestConfig:
             dict(width=float("inf")),
             dict(width=0.0),
             dict(width=-5.0),
+            dict(rate=float("nan")),
+            dict(rate=float("inf")),
+            dict(burst_injections=[BurstInjection("storm", 5, 9, 3.0)]),
+            dict(burst_injections=[BurstInjection("storm", 0, 1, 3.0)]),
+            dict(burst_injections=[BurstInjection("storm", 3, 2, 3.0)]),
+            dict(groups=[("", 2), ("B", 2)]),
+            dict(groups=[("a b", 2)]),
+            dict(groups=[("@a", 2)]),
+            dict(groups=[("TOTAL", 2), ("B", 2)]),
+            dict(groups=[("AVERAGE", 2)]),
+            dict(groups=[("a", 2), ("A", 2)]),
+            dict(groups=[("A", -3)]),
+            dict(groups=[("A", 0)]),
         ],
     )
     def test_invalid_values_rejected(self, bad):
