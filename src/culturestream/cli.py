@@ -22,8 +22,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .binning import DEFAULT_WIDTH
-from .corpus import parse_timestamp, write_transactions_jsonl
+from .corpus import write_transactions_jsonl
 from .errors import ConfigError, DataError
 
 EXIT_OK = 0
@@ -95,33 +94,24 @@ def _parse_groups(text: str) -> list[tuple[str, int]]:
     return groups
 
 
-def _parse_injection(text: str, synth):
+def _parse_injection(text: str):
+    from .synth import BurstInjection
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(f"--burst: expected FACT:ONSET:END:MULTIPLIER, got {text!r}")
     try:
-        return synth.BurstInjection(parts[0], int(parts[1]), int(parts[2]), float(parts[3]))
+        return BurstInjection(parts[0], int(parts[1]), int(parts[2]), float(parts[3]))
     except ValueError as exc:
         raise ConfigError(f"--burst: {exc}")
 
 
 def _cmd_synth(args) -> int:
+    from dataclasses import fields
     # synth and selftest need numpy, whose import costs every run about 90 ms.
     from . import synth
+    given = {f.name: getattr(args, f.name) for f in fields(synth.SynthConfig) if f.name in args}
     try:
-        config = synth.SynthConfig(
-            groups=_parse_groups(args.groups),
-            windows=args.weeks,
-            rate=args.rate,
-            alpha=args.alpha,
-            hom=args.hom,
-            seed=args.seed,
-            burst_injections=[_parse_injection(b, synth) for b in (args.burst or [])],
-            warmup_facts=args.warmup_facts,
-            warmup_tokens=args.warmup_tokens,
-            epoch=parse_timestamp(args.epoch),
-            width=args.width,
-        )
+        config = synth.SynthConfig(**given)
     except ValueError as exc:
         raise ConfigError(str(exc))
     transactions, roster = synth.generate(config)
@@ -167,26 +157,27 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_options(p)
         p.set_defaults(func=_cmd_ingest if stages is None else _run_stages, stages=stages)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus and roster")
+    # Only the flags given reach SynthConfig, which holds every default.
+    p = sub.add_parser("synth", help="generate a synthetic corpus and roster",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p.add_argument("--weeks", type=int, default=13, help="windows to generate (default 13)")
-    p.add_argument("--groups", default="A:20,B:20", help="comma-separated NAME:SIZE list")
-    p.add_argument("--rate", type=float, default=2.0,
+    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p.add_argument("--weeks", dest="windows", metavar="WEEKS", type=int,
+                   help="windows to generate (default 13)")
+    p.add_argument("--groups", type=_parse_groups, help="comma-separated NAME:SIZE list")
+    p.add_argument("--rate", type=float,
                    help="expected transactions per member, window, practice (default 2)")
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="new-fact probability for tagging (default 0.1)")
-    p.add_argument("--hom", type=float, default=0.5,
+    p.add_argument("--alpha", type=float, help="new-fact probability for tagging (default 0.1)")
+    p.add_argument("--hom", type=float,
                    help="probability a user reference stays in-group (default 0.5)")
-    p.add_argument("--burst", action="append", metavar="FACT:ONSET:END:MULT",
-                   help="burst injection; repeatable")
-    p.add_argument("--warmup-facts", type=int, default=0,
-                   help="pre-existing background facts (default 0)")
-    p.add_argument("--warmup-tokens", type=int, default=1,
+    p.add_argument("--burst", dest="burst_injections", action="append", type=_parse_injection,
+                   metavar="FACT:ONSET:END:MULT", help="burst injection; repeatable")
+    p.add_argument("--warmup-facts", type=int, help="pre-existing background facts (default 0)")
+    p.add_argument("--warmup-tokens", type=int,
                    help="initial references per pre-existing fact (default 1)")
-    p.add_argument("--epoch", default="0", help="stream start (default epoch second 0)")
+    p.add_argument("--epoch", help="stream start (default epoch second 0)")
     p.add_argument("--width-seconds", dest="width", metavar="WIDTH_SECONDS", type=float,
-                   default=DEFAULT_WIDTH, help="window width (default 604800)")
+                   help="window width (default 604800)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("selftest", help="run the built-in check battery")

@@ -147,32 +147,33 @@ def load_roster(lines: Iterable[str]) -> dict[str, str]:
     are tolerated.
     """
     reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty roster")
-    if [h.strip().lower() for h in header[:2]] != ["user", "group"]:
-        raise DataError(f"roster must start with header 'user,group', got {header!r}")
-
     roster: dict[str, str] = {}
-    for row_no, row in enumerate(reader, 2):
-        if not row or not "".join(row).strip():
-            continue
-        if len(row) < 2:
-            raise DataError(f"roster row {row_no}: expected 'user,group', got {row!r}")
-        try:
-            user = normalize_handle(row[0])
-        except ValueError as exc:
-            raise DataError(f"roster row {row_no}: {exc}") from None
-        group = row[1].strip()
-        if not group:
-            raise DataError(f"roster row {row_no}: empty group for user {user!r}")
-        if user in roster and roster[user] != group:
-            raise DataError(
-                f"roster row {row_no}: user {user!r} mapped to both "
-                f"{roster[user]!r} and {group!r}"
-            )
-        roster[user] = group
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError("empty roster")
+        if [h.strip().lower() for h in header[:2]] != ["user", "group"]:
+            raise DataError(f"roster must start with header 'user,group', got {header!r}")
+        for row_no, row in enumerate(reader, 2):
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) < 2:
+                raise DataError(f"roster row {row_no}: expected 'user,group', got {row!r}")
+            try:
+                user = normalize_handle(row[0])
+            except ValueError as exc:
+                raise DataError(f"roster row {row_no}: {exc}") from None
+            group = row[1].strip()
+            if not group:
+                raise DataError(f"roster row {row_no}: empty group for user {user!r}")
+            if user in roster and roster[user] != group:
+                raise DataError(
+                    f"roster row {row_no}: user {user!r} mapped to both "
+                    f"{roster[user]!r} and {group!r}"
+                )
+            roster[user] = group
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DataError(f"roster row {reader.line_num}: {exc}") from None
     return roster
 
 

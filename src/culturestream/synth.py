@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .binning import DEFAULT_WIDTH
-from .corpus import PRACTICES, Transaction, normalize_handle, write_csv
+from .binning import DEFAULT_WIDTH, WindowSpec
+from .corpus import PRACTICES, Transaction, normalize_handle, parse_timestamp, write_csv
 from .measures import AVERAGE
 from .network import TOTAL
 
@@ -51,57 +51,58 @@ class BurstInjection:
 
 @dataclass
 class SynthConfig:
-    groups: list[tuple[str, int]]  # (group id, member count)
-    windows: int
-    rate: float  # expected transactions per member, window, and practice
-    alpha: float  # new-fact probability in (0, 1]
-    hom: float  # probability a user reference stays in-group
-    seed: int
+    """Every synth setting and its default; ``culturestream synth`` flags override them."""
+
+    groups: Sequence[tuple[str, int]] = (("A", 20), ("B", 20))  # (group id, member count)
+    windows: int = 13
+    rate: float = 2.0  # expected transactions per member, window, and practice
+    alpha: float = 0.1  # new-fact probability in (0, 1]
+    hom: float = 0.5  # probability a user reference stays in-group
+    seed: int = 0
     burst_injections: list[BurstInjection] = field(default_factory=list)
     warmup_facts: int = 0  # pre-existing background facts
     warmup_tokens: int = 1  # initial references per pre-existing fact
     practices: tuple[str, ...] = PRACTICES
-    epoch: float = 0.0
+    epoch: float = 0.0  # or any form parse_timestamp reads
     width: float = DEFAULT_WIDTH
 
     def __post_init__(self):
+        self.epoch = parse_timestamp(self.epoch)
+        WindowSpec(self.epoch, self.windows, self.width)  # the grid report bins the stream on
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must be in (0, 1]")
         if not (0.0 <= self.hom <= 1.0):
             raise ValueError("hom must be in [0, 1]")
-        if not (self.windows >= 1 and 0 <= self.rate < math.inf):
-            raise ValueError("need windows >= 1 and a finite rate >= 0")
-        if not (self.width > 0 and math.isfinite(self.width)):
-            raise ValueError("window width must be positive and finite")
+        if not (0 <= self.rate < math.inf):
+            raise ValueError("need a finite rate >= 0")
         if self.warmup_facts < 0 or self.warmup_tokens < 1:
             raise ValueError("need warmup_facts >= 0 and warmup_tokens >= 1")
         bad = [p for p in self.practices if p not in PRACTICES]
         if bad or not self.practices:
             raise ValueError(f"practices must be a non-empty subset of {PRACTICES}")
         for inj in self.burst_injections:
-            if not (1 <= inj.onset <= inj.end <= self.windows):
-                raise ValueError(f"burst {inj.fact!r}: need 1 <= onset <= end <= {self.windows}")
-        seen = set()
+            if not (1 <= inj.onset <= inj.end <= self.windows and 1 < inj.multiplier < math.inf):
+                raise ValueError(f"burst {inj.fact!r}: need 1 <= onset <= end <= {self.windows}"
+                                 " and a finite multiplier > 1")
+        self._roster: dict[str, str] = {}
         for group, size in self.groups:
-            handle = f"{group.lower()}000"  # must come back from the roster file as written
-            try:
-                valid = bool(group) and normalize_handle(handle) == handle
+            handles = [f"{group.lower()}{i:03d}" for i in range(size)]
+            shared = [h for h in handles if h in self._roster]
+            try:  # every handle must come back from the roster file as written
+                valid = bool(group) and all(normalize_handle(h) == h for h in handles)
             except ValueError:
                 valid = False
             problem = ("needs a non-empty name without whitespace or a leading '@'" if not valid
                        else "is a name reserved for the output" if group in (AVERAGE, TOTAL)
-                       else "repeats an earlier name (ignoring case)" if handle in seen
-                       else f"needs size >= 1, got {size}" if size < 1 else None)
+                       else f"needs size >= 1, got {size}" if size < 1
+                       else f"shares member {shared[0]!r} with group {self._roster[shared[0]]!r}"
+                       if shared else None)
             if problem:
                 raise ValueError(f"group {group!r} {problem}")
-            seen.add(handle)
+            self._roster.update(dict.fromkeys(handles, group))
 
     def roster(self) -> dict[str, str]:
-        members = {}
-        for group, size in self.groups:
-            for i in range(size):
-                members[f"{group.lower()}{i:03d}"] = group
-        return members
+        return self._roster
 
 
 class _FactUrn:

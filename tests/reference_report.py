@@ -1,9 +1,11 @@
-"""Reference facts table that ``culturestream.facts.fact_measures`` must agree with.
+"""Reference facts table and measure series that the production code must agree with.
 
-The README's institutionness and burstiness as straight-line code over dense
-per-window lists: every fact gets an r_t for every window, institutionness is
-an exhaustive search over h, and each window's two state costs are evaluated
-one at a time.  Tests compare the production code with this one; the tool
+The README's measures as straight-line code over dense per-window lists.
+For ``culturestream.facts.fact_measures``: every fact gets an r_t for every
+window, institutionness is an exhaustive search over h, and each window's two
+state costs are evaluated one at a time.  For ``culturestream.measures``:
+focus, similarity, reproduction, frequency and the AVERAGE rows, each from
+its definition.  Tests compare the production code with this one; the tool
 never calls it, and it imports nothing from ``culturestream``.
 """
 
@@ -95,4 +97,85 @@ def fact_rows(cells, count, groups, practice, variant):
             if top > 0:
                 row[4] /= top
             rows.append(tuple(row))
+    return rows
+
+
+
+def _ranking(vec):
+    return sorted(vec, key=lambda fact: (-vec[fact], fact))
+
+
+def rbo_from_definition(r1, r2, p):
+    """Extended RBO with explicit prefix sets and the tail frozen at the last agreement."""
+    depth = max(len(r1), len(r2))
+    agreements = []
+    for d in range(1, depth + 1):
+        shared = set(r1[:d]) & set(r2[:d])
+        agreements.append(2 * len(shared) / (min(d, len(r1)) + min(d, len(r2))))
+    head = sum(a * p ** (d - 1) for d, a in enumerate(agreements, 1))
+    return (1 - p) * head + agreements[-1] * p**depth
+
+
+def _focus(counts):
+    nonzero = [c for c in counts if c]
+    if len(nonzero) == 1:
+        return 1.0
+    total = sum(nonzero)
+    entropy = -sum(c / total * math.log2(c / total) for c in nonzero)
+    return 1.0 - entropy / math.log2(len(nonzero))
+
+
+def _similarity(counts, others):
+    cosines = []
+    for other in others:
+        dot = sum(a * b for a, b in zip(counts, other))
+        norm = math.sqrt(sum(a * a for a in counts)) * math.sqrt(sum(b * b for b in other))
+        cosines.append(dot / norm)
+    return sum(cosines) / len(cosines) if cosines else None
+
+
+def series(cells, count, groups, practice, measure, rbo_p):
+    """``build_series`` as {group: [(window, value)]}, value None where a point is undefined.
+
+    Each cell of ``practice`` is a dense count list over the practice's sorted
+    fact universe.  Similarity is the mean cosine against the other groups
+    active in the window; reproduction compares windows w - 1 and w.
+    """
+    universe = sorted({f for (_, _, prac), vec in cells.items() if prac == practice for f in vec})
+    dense = {(g, w): [vec.get(f, 0) for f in universe]
+             for (g, w, prac), vec in cells.items() if prac == practice}
+    out = {}
+    for group in groups:
+        points = []
+        for w in range(2 if measure == "reproduction" else 1, count + 1):
+            counts = dense.get((group, w))
+            if counts is None:
+                value = None
+            elif measure == "reproduction":
+                before = cells.get((group, w - 1, practice))
+                value = None if before is None else rbo_from_definition(
+                    _ranking(before), _ranking(cells[group, w, practice]), rbo_p)
+            elif measure == "frequency":
+                value = float(sum(counts))
+            elif measure == "focus":
+                value = _focus(counts)
+            else:  # similarity
+                value = _similarity(counts, [v for (g, t), v in dense.items()
+                                             if t == w and g != group])
+            points.append((w, value))
+        out[group] = points
+    return out
+
+
+def average(series_by_group):
+    """The AVERAGE rows: (window, population mean, population sd) over non-null values."""
+    rows = []
+    for column in zip(*series_by_group.values()):
+        values = [v for _, v in column if v is not None]
+        if not values:
+            rows.append((column[0][0], None, None))
+            continue
+        mean = math.fsum(values) / len(values)
+        variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
+        rows.append((column[0][0], mean, math.sqrt(variance)))
     return rows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -74,6 +75,22 @@ class TestExitCodes:
         assert "data error: roster: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["report", "ingest"])
+    @pytest.mark.parametrize("row, text", [
+        (1, "user,{big}\nana,A\n"),
+        (3, "user,group\nana,A\n{big},B\n"),
+    ])
+    def test_roster_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys, command,
+                                                          row, text):
+        corpus, _ = _synth_inputs(tmp_path)
+        roster = tmp_path / "roster.csv"
+        roster.write_text(text.format(big="x" * (csv.field_size_limit() + 1)), encoding="utf-8")
+        assert main([command, *_run_args(tmp_path, corpus, roster)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: roster row {row}: field larger than field limit")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         corpus, roster = _synth_inputs(tmp_path)
         config = tmp_path / "run.cfg"
@@ -132,6 +149,13 @@ class TestExitCodes:
         (["--groups", "TOTAL:2,B:2"], "group 'TOTAL'"),
         (["--groups", "a:2,A:2"], "group 'A'"),
         (["--groups", "A:-3"], "group 'A'"),
+        (["--groups", "a:1001,a1:1"], "group 'a1' shares member 'a1000' with group 'a'"),
+        (["--groups", " , "], "--groups: at least one NAME:SIZE entry required"),
+        (["--groups", "A:two"], "--groups: expected NAME:SIZE"),
+        (["--burst", "storm:2:2:nan"], "finite multiplier > 1"),
+        (["--burst", "storm:2:2:1"], "finite multiplier > 1"),
+        (["--burst", "storm:2:2:0.5"], "finite multiplier > 1"),
+        (["--burst", "storm:two:2:3"], "--burst: invalid literal for int()"),
     ])
     def test_synth_config_report_would_reject_is_usage_error(self, tmp_path, capsys, args,
                                                              message):

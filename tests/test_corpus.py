@@ -158,6 +158,14 @@ class TestRoster:
         with pytest.raises(DataError):
             load_roster(["user,group", "alice,A", "alice,B"])
 
+    @pytest.mark.parametrize("row, message", [
+        ("carol", "roster row 3: expected 'user,group'"),
+        ("carol, ", "roster row 3: empty group for user 'carol'"),
+    ])
+    def test_short_row_or_empty_group_is_fatal(self, row, message):
+        with pytest.raises(DataError, match=message):
+            load_roster(["user,group", "alice,A", row])
+
     def test_header_required(self):
         with pytest.raises(DataError):
             load_roster(["member,party", "alice,A"])
@@ -242,8 +250,8 @@ class TestLoadCorpus:
 
     def test_pre_extracted_records(self, small_roster):
         lines = [
-            _pre("p1", "alice", 10, "tagging", ["#Wahl", "wahl", "demo"]),
-            _pre("p2", "bob", 20, "retweeting", ["@Carol", "ghost"]),
+            _pre("p1", "alice", 10, "tagging", ["#Wahl", "wahl", 7, "#", "demo"]),
+            _pre("p2", "bob", 20, "retweeting", ["@Carol", "ghost", "bo b"]),
             _pre("p3", "carol", 30, "bogus", ["x"]),
             _pre("p4", "dave", 40, "mentioning", ["ghost"]),
         ]

@@ -172,6 +172,14 @@ SYNTH_DIGESTS = {
         "1fe6cf1a70cfe7f7b0362fb18bc015459cec75ebb7bbd3cd520d3505970c9ff8",
 }
 
+# synth with every setting at its default.
+SYNTH_DEFAULT_DIGESTS = {
+    "corpus.jsonl":
+        "7d3eca65f56ae93c2a592d883bd9bcc03735b18b5acdc1ef4b0a711434f95acd",
+    "roster.csv":
+        "ecab90c437cd755ce5bad2ad5f561df0b52d94783a01d0bcb41bc3022e48d97a",
+}
+
 SYNTH_ARGS = [
     "synth", "--out", "in", "--seed", "5", "--weeks", "13",
     "--groups", ",".join(f"G{i}:4" for i in range(10)),
@@ -320,3 +328,9 @@ def test_synthetic_ten_group_digests(tmp_path, monkeypatch):
     assert main(["report", "--corpus", "in/corpus.jsonl", "--roster", "in/roster.csv",
                  "--epoch", "0", "--weeks", "13", "--out", "out"]) == 0
     assert _digests(tmp_path / "out") == SYNTH_DIGESTS
+
+
+def test_synth_default_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "in"]) == 0
+    assert _digests(tmp_path / "in") == SYNTH_DEFAULT_DIGESTS

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference_report
 from culturestream import measures
 from culturestream.binning import WindowSpec, rank_vector
 from culturestream.measures import (
+    MEASURES,
     average_series,
     build_series,
     focus,
@@ -18,6 +20,7 @@ from culturestream.measures import (
     rbo_extended,
     write_series_csv,
 )
+from test_facts import fact_cells
 
 
 counts_strategy = st.dictionaries(
@@ -292,3 +295,38 @@ def test_series_csv_golden(tmp_path):
         b"AVERAGE,1,1,0\r\n"
         b"AVERAGE,2,1,0\r\n"
     )
+
+
+def _close(value, ref):
+    return value == ref or abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+class TestDenseReference:
+    # The example holds rankings of unequal length that overlap past the shorter
+    # one, a lone mentioning cell, and cosines between counts other than 1.
+    @given(fact_cells, st.sampled_from((0.0, 0.5, 0.9, 0.98)))
+    @example((3, {("A", 1, "tagging"): {"a": 2, "b": 2}, ("A", 2, "tagging"): {"b": 3},
+                  ("B", 2, "tagging"): {"a": 2 * 10**9, "b": 1}, ("C", 2, "mentioning"): {"a": 1}}),
+             0.9)
+    def test_series_and_average_equal_dense_reference(self, count_cells, rbo_p):
+        count, cells = count_cells
+        spec = WindowSpec(epoch=0.0, count=count, width=1.0)
+        groups = ["A", "B", "C", "D"]
+        for measure in MEASURES:
+            got = build_series(cells, spec, "tagging", groups, measure, rbo_p)
+            ref = reference_report.series(cells, count, groups, "tagging", measure, rbo_p)
+            assert list(got) == groups
+            for group in groups:
+                assert [w for w, _ in got[group]] == [w for w, _ in ref[group]]
+                for (_, value), (_, want) in zip(got[group], ref[group]):
+                    assert (value is None) == (want is None)
+                    if measure == "frequency" or value is None:
+                        assert value == want
+                    else:
+                        assert _close(value, want), (measure, group, value, want)
+            rows, ref_rows = average_series(got), reference_report.average(ref)
+            assert [row[0] for row in rows] == [row[0] for row in ref_rows]
+            for row, want in zip(rows, ref_rows):
+                for value, expected in zip(row[1:], want[1:]):
+                    assert (value is None) == (expected is None)
+                    assert value is None or _close(value, expected), (measure, row, want)

@@ -171,6 +171,8 @@ class TestValidation:
             (dict(practices="tagging,blogging"), "practice"),
             (dict(markers="9:late"), "marker"),
             (dict(practices="tagging,tagging"), "repeated practice"),
+            (dict(markers="late:9"), "markers: expected 'window:label', got 'late:9'"),
+            (dict(follow_edges="missing.csv"), "follow edge list not found"),
         ],
     )
     def test_invalid_configuration_rejected(self, tmp_path, patch, message):
@@ -394,6 +396,20 @@ class TestFollowEdgeLog:
         assert line == (
             "skipped 2 unparseable follow rows and 2 self-loops or edges outside the roster"
         )
+
+
+class TestFollowingFailure:
+    def test_recorded_in_the_manifest_and_the_stream_practices_still_run(self, tmp_path):
+        values = _small_inputs(tmp_path)
+        follow = tmp_path / "follow.csv"
+        follow.write_bytes(b"source,target\na000,b\xf6\n")
+        args = [f"--{k}={v}" for k, v in values.items()]
+        assert main(["report", *args, f"--follow-edges={follow}"]) == 2
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        status = manifest["practices"]
+        assert status.pop("following").startswith("failed: 'utf-8' codec can't decode")
+        assert status == dict.fromkeys(PRACTICES, "ok")
+        assert "edges_following.csv" not in manifest["artifacts"]
 
 
 class TestHostileCorpus:
