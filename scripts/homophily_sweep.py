@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from culturestream.network import build_graph, homophily
+from culturestream.network import build_graph, group_stats
 from culturestream.synth import SynthConfig, generate
 
 
@@ -32,7 +32,8 @@ def run_point(hom: float, members: int, seed: int) -> tuple[float, float, int]:
     graph = build_graph(transactions, "retweeting", roster)
     share = (members - 1) / (2 * members - 1)
     expected = hom + (1.0 - hom) * share
-    return homophily(graph)["TOTAL"], expected, graph.total_weight()
+    total = group_stats(graph)[-1]  # the TOTAL scope comes after the groups
+    return total.homophily, expected, graph.total_weight()
 
 
 def main() -> int:

@@ -54,7 +54,7 @@ MALFORMED_SAMPLE = 20
 _HASHTAG_RE = re.compile(r"#(\w+)")
 # "RT username" and "RT @username", optional trailing colon.  Only the marker
 # ignores case, so a handle is ASCII here as in _MENTION_RE.
-_RT_RE = re.compile(r"\b(?i:RT)\s+@?([A-Za-z0-9_]+):?")
+RT_RE = re.compile(r"\b(?i:RT)\s+@?([A-Za-z0-9_]+):?")
 _MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
 
 
@@ -117,7 +117,7 @@ def extract_facts(
     """
     # Only ASCII letters match the marker's (?i:R) and (?i:T), so a text whose
     # lowercase form lacks "rt" has no marker.
-    rt_matches = list(_RT_RE.finditer(text)) if "rt" in text.lower() else []
+    rt_matches = list(RT_RE.finditer(text)) if "rt" in text.lower() else []
     retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
     # The only "@" inside an RT span precedes that span's own handle, so every
     # mention read there is a retweetee, and dropping retweetees drops it.

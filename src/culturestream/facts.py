@@ -110,29 +110,6 @@ def institutionness_value(
     return sum(m >= i for i, m in enumerate(bounds, 1))
 
 
-def improvement_closed_form(r: Sequence[int], d: Sequence[int]) -> list[float]:
-    """Independent route to the improvements, over dense r: the binomial coefficients
-    cancel, leaving r_t * ln(p1/p0) + (d_t - r_t) * ln((1-p1)/(1-p0))."""
-    total_d = sum(d)
-    total_r = sum(r)
-    if total_d <= 0 or total_r <= 0:
-        raise ValueError("burst costs need R > 0 and D > 0")
-    p0 = total_r / total_d
-    p1 = min(2.0 * p0, 1.0 - P1_CLAMP_EPS)
-    out = []
-    for rt, dt in zip(r, d):
-        if dt == 0:
-            out.append(0.0)
-            continue
-        imp = 0.0
-        if rt > 0:
-            imp += rt * log(p1 / p0)
-        if dt - rt > 0:
-            imp += (dt - rt) * log((1.0 - p1) / (1.0 - p0))
-        out.append(imp)
-    return out
-
-
 def burst_episodes(r: Mapping[int, int], d: Sequence[int]) -> list[tuple[int, int, float]]:
     """(onset, end, weight) of each maximal run of windows with positive improvement.
 

@@ -52,22 +52,6 @@ def focus(vector: CultureVector) -> float:
     return 1.0 - entropy / math.log2(n)
 
 
-def pair_similarity(v_i: CultureVector, v_j: CultureVector) -> float:
-    """Cosine of two count vectors on the union of their facts; build_series' reference."""
-    if not v_i or not v_j:
-        return 0.0
-    dot = 0.0
-    for fact, count in v_i.items():
-        other = v_j.get(fact)
-        if other:
-            dot += count * other
-    if dot == 0.0:
-        return 0.0
-    norm_i = math.sqrt(sum(c * c for c in v_i.values()))
-    norm_j = math.sqrt(sum(c * c for c in v_j.values()))
-    return dot / (norm_i * norm_j)
-
-
 def rbo_extended(keys1: Sequence, keys2: Sequence, p: float) -> float:
     """Extended rank-biased overlap of two ranked key lists.
 
@@ -149,9 +133,9 @@ def _similarity_series(vectors, spec, practice, groups) -> dict[str, Series]:
 
     Dot products are summed as integers, only for pairs of cells that share a
     fact, and each norm is computed once.  A group's mean adds the cosines in
-    the window's ``vectors`` order, as averaging ``pair_similarity`` does, so
-    the two are bit-identical while every dot stays below 2**53; a pair with
-    no shared fact adds nothing, which is the same as adding 0.0.
+    the window's ``vectors`` order, so it is bit-identical to averaging
+    per-pair cosines in that order while every dot stays below 2**53; a pair
+    with no shared fact adds nothing, which is the same as adding 0.0.
     """
     by_window: dict[int, dict[str, CultureVector]] = {}
     for (g, w, p), vec in vectors.items():

@@ -175,14 +175,6 @@ def group_stats(graph: PracticeGraph) -> list[GroupNetworkStats]:
     return rows
 
 
-def homophily(graph: PracticeGraph) -> dict[str, Optional[float]]:
-    """Mean individual homophily per group plus the TOTAL scope.
-
-    Groups with no active senders map to None.
-    """
-    return {row.group: row.homophily for row in group_stats(graph)}
-
-
 def write_stats_csv(stats: list[GroupNetworkStats], practice: str, path) -> int:
     return write_csv(
         path,

@@ -2,9 +2,10 @@
 
 Each check is small, named, and independent; ``run()`` executes them all and
 reports per-check pass/fail.  The battery includes hand-computed reference
-values for every measure, an exhaustive cross-check of institutionness at float
-boundaries, and an algebraic cross-check of the burst cost model, so a broken
-build fails loudly before it produces plausible-looking numbers.
+values for every measure and network statistic, an exhaustive cross-check of
+institutionness at float boundaries, and an algebraic cross-check of the burst
+cost model, so a broken build fails loudly before it produces plausible-looking
+numbers.  The test suite takes those two oracles and ``sparse`` from here.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from . import facts, measures, synth
-from .binning import WindowSpec, bin_transactions, rank_vector
+from . import facts, measures, network, synth
+from .binning import CultureVector, WindowSpec, bin_transactions, rank_vector
 from .corpus import Transaction, load_corpus, transaction_line
 
 # Hand-computed reference values (see the matching checks for the arithmetic).
@@ -24,7 +25,6 @@ FOCUS_3_1 = 0.18872187554086717
 COSINE_AB_A = 0.7071067811865475
 RBO_SWAP_09 = 0.90
 RBO_SWAP_05 = 0.50
-RBO_TOP10_MASS_09 = 0.6513215599
 BURST_WEIGHT_1_5 = 0.667656963122613
 
 
@@ -32,7 +32,7 @@ def _approx(a: float, b: float, tol: float = 1e-12) -> bool:
     return abs(a - b) <= tol
 
 
-def _sparse(dense: list[int]) -> dict[int, int]:
+def sparse(dense: list[int]) -> dict[int, int]:
     """A dense per-window series as the facts layer's {window: r_t}, zeros dropped."""
     return {w: rt for w, rt in enumerate(dense, 1) if rt}
 
@@ -61,35 +61,36 @@ def check_focus_known_vector() -> None:
 # similarity
 
 
+def _window_similarity(cells: dict[str, CultureVector]) -> dict[str, Optional[float]]:
+    """Each group's similarity score in a one-window grid holding ``cells``."""
+    series = measures.build_series({(g, 1, "t"): vec for g, vec in cells.items()},
+                                   WindowSpec(0.0, 1, 1.0), "t", list(cells), "similarity")
+    return {g: points[0][1] for g, points in series.items()}
+
+
 def check_similarity_identical() -> None:
     v = {"a": 2, "b": 7}
-    assert _approx(measures.pair_similarity(v, v), 1.0)
+    assert all(_approx(s, 1.0) for s in _window_similarity({"A": v, "B": v}).values())
 
 
 def check_similarity_disjoint() -> None:
-    assert measures.pair_similarity({"a": 3}, {"b": 3}) == 0.0
+    assert _window_similarity({"A": {"a": 3}, "B": {"b": 3}}) == {"A": 0.0, "B": 0.0}
 
 
 def check_similarity_known_pair() -> None:
-    # (1,1)·(1,0) / (sqrt(2) * 1) = 1/sqrt(2)
-    value = measures.pair_similarity({"a": 1, "b": 1}, {"a": 1})
-    assert _approx(value, COSINE_AB_A), value
-    # A three-group window: the indexed series equals the pairwise means exactly.
-    cells = {"A": {"a": 1, "b": 1}, "B": {"a": 1}, "C": {"b": 3, "c": 2}}
-    series = measures.build_series({(g, 1, "t"): v for g, v in cells.items()},
-                                   WindowSpec(0.0, 1, 1.0), "t", list(cells), "similarity")
-    for g, vec in cells.items():
-        pairs = [measures.pair_similarity(vec, v) for h, v in cells.items() if h != g]
-        assert series[g] == [(1, sum(pairs) / 2)], (g, series[g])
-    assert _approx(series["B"][0][1], COSINE_AB_A / 2), series
+    # Two groups each score the pair's cosine (1,1)·(1,0) / (sqrt(2) * 1) = 1/sqrt(2).
+    scores = _window_similarity({"A": {"a": 1, "b": 1}, "B": {"a": 1}})
+    assert _approx(scores["A"], COSINE_AB_A) and scores["B"] == scores["A"], scores
+    # Add C = (0,3,2): cos(A,C) = 3 / (sqrt(2) * sqrt(13)), cos(B,C) = 0, and
+    # each group scores the mean of its two cosines.
+    scores = _window_similarity({"A": {"a": 1, "b": 1}, "B": {"a": 1}, "C": {"b": 3, "c": 2}})
+    cos_ac = 3 / math.sqrt(26)
+    want = {"A": (COSINE_AB_A + cos_ac) / 2, "B": COSINE_AB_A / 2, "C": cos_ac / 2}
+    assert all(_approx(scores[g], want[g]) for g in want), scores
 
 
 def check_similarity_needs_other_groups() -> None:
-    spec = WindowSpec(epoch=0.0, count=1, width=1.0)
-    vectors = {("G", 1, "tagging"): {"a": 1}}
-    assert measures.build_series(vectors, spec, "tagging", ["G"], "similarity") == {
-        "G": [(1, None)]
-    }
+    assert _window_similarity({"G": {"a": 1}}) == {"G": None}
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +115,16 @@ def check_rbo_persistence_sensitivity() -> None:
 
 def check_rbo_top_depth_mass() -> None:
     # The convergent part assigns (1-p) p^(d-1) to depth d, so depths 1..10
-    # carry 1 - p^10 of it: about 65% at p = 0.9.
+    # carry 1 - p^10 of it: about 65% at p = 0.9.  Two 20-key rankings that
+    # share their top 10 and nothing after agree fully there, then 10/d at
+    # depth d, and 10/20 is frozen beyond depth 20:
+    #   RBO = (1 - p^10) + (1-p) * sum_{d=11..20} (10/d) p^(d-1) + (1/2) p^20.
     p = 0.9
-    mass = sum((1.0 - p) * p ** (d - 1) for d in range(1, 11))
-    assert _approx(mass, 1.0 - p**10), mass
-    assert _approx(mass, RBO_TOP10_MASS_09, 1e-10), mass
+    top = [f"k{i}" for i in range(10)]
+    value = measures.rbo_extended(top + [f"x{i}" for i in range(10)],
+                                  top + [f"y{i}" for i in range(10)], p)
+    tail = (1.0 - p) * sum(10 / d * p ** (d - 1) for d in range(11, 21))
+    assert _approx(value, (1.0 - p**10) + tail + 0.5 * p**20), value
 
 
 def check_rbo_ranking_tie_break() -> None:
@@ -130,7 +136,8 @@ def check_rbo_ranking_tie_break() -> None:
 # institutionness
 
 
-def _brute_force_institutionness(r, h0, variant) -> int:
+def brute_force_institutionness(r, h0, variant) -> int:
+    """Largest h that at least h windows of dense r clear, by exhaustive search."""
     best = 0
     for h in range(0, len(r) + 1):
         satisfied = 0
@@ -162,8 +169,8 @@ def check_institutionness_matches_brute_force() -> None:
             series += [([rt] * 78, [h0t] * 78) for rt in range(10, 100, 10)]
     for trial, (r, h0) in enumerate(series):
         for variant in facts.INSTITUTIONNESS_VARIANTS:
-            got = facts.institutionness_value(_sparse(r), h0, variant)
-            want = _brute_force_institutionness(r, h0, variant)
+            got = facts.institutionness_value(sparse(r), h0, variant)
+            want = brute_force_institutionness(r, h0, variant)
             assert got == want, (trial, variant, r, h0, got, want)
             assert 0 <= got <= len(r)
 
@@ -179,11 +186,25 @@ def check_week_rate_known() -> None:
 # burstiness
 
 
+def improvement_closed_form(r: Sequence[int], d: Sequence[int]) -> list[float]:
+    """Independent route to the improvements, over dense r: the binomial coefficients
+    cancel, leaving r_t * ln(p1/p0) + (d_t - r_t) * ln((1-p1)/(1-p0)), and 0 where d_t = 0."""
+    total_r, total_d = sum(r), sum(d)
+    if total_d <= 0 or total_r <= 0:
+        raise ValueError("burst costs need R > 0 and D > 0")
+    p0 = total_r / total_d
+    p1 = min(2.0 * p0, 1.0 - facts.P1_CLAMP_EPS)
+    # p0 == 1 only when r_t == d_t in every window, where the second term is unused.
+    per_ref = math.log(p1 / p0)
+    per_miss = math.log((1.0 - p1) / (1.0 - p0)) if p0 < 1.0 else 0.0
+    return [rt * per_ref + (dt - rt) * per_miss if dt else 0.0 for rt, dt in zip(r, d)]
+
+
 def _normalized_rows(r, d) -> list[facts.FactMeasureRow]:
     """One fact's episode rows, normalized as a group of their own."""
     return facts.normalize_bursts([
         facts.FactMeasureRow("G", "tagging", "a", 0, weight, onset, end)
-        for onset, end, weight in facts.burst_episodes(_sparse(r), d)
+        for onset, end, weight in facts.burst_episodes(sparse(r), d)
     ])
 
 
@@ -204,9 +225,9 @@ def check_burst_cost_routes_agree() -> None:
         r = [rng.randint(0, dt) for dt in d]
         if sum(r) == 0:
             r[0] = d[0] = max(d[0], 1)
-        closed = facts.improvement_closed_form(r, d)
+        closed = improvement_closed_form(r, d)
         covered = set()
-        for onset, end, weight in facts.burst_episodes(_sparse(r), d):
+        for onset, end, weight in facts.burst_episodes(sparse(r), d):
             assert _approx(weight, sum(closed[onset - 1 : end]), 1e-9), (r, d, onset, end)
             covered.update(range(onset, end + 1))
         bursting = {w for w, imp in enumerate(closed, 1) if imp > 1e-9}
@@ -229,14 +250,39 @@ def check_burst_zero_week_splits_episodes() -> None:
     # therefore breaks a run: r=(6,0,6,0), d=(10,0,10,40) yields [1,1] and
     # [3,3], not [1,3].
     r, d = [6, 0, 6, 0], [10, 0, 10, 40]
-    assert facts.improvement_closed_form(r, d)[1] == 0.0
-    spans = [(onset, end) for onset, end, _ in facts.burst_episodes(_sparse(r), d)]
+    assert improvement_closed_form(r, d)[1] == 0.0
+    spans = [(onset, end) for onset, end, _ in facts.burst_episodes(sparse(r), d)]
     assert spans == [(1, 1), (3, 3)], spans
 
 
 def check_burst_normalization_strongest_is_one() -> None:
     rows = _normalized_rows([3, 3, 0, 3], [10, 10, 40, 10])
     assert max(row.burstiness for row in rows) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# network
+
+
+def check_network_known_graph() -> None:
+    # A = {a1, a2}, B = {b1, b2}; arcs (weight) a1->a2 (2), a2->a1 (1),
+    # a1->b1 (1), a2->b2 (1), b1->a1 (3), b1->b2 (1); b2 only receives.
+    # A: 2 arcs inside of 2 slots, density 1; 4 arcs leave A members, k_out
+    #    4/2; weight 2+1+3 = 6 reaches them, w_in 6/2; a1 keeps 2 of 3 in its
+    #    group and a2 1 of 2, homophily (2/3 + 1/2)/2 = 7/12.
+    # B: 1 arc of 2 slots, density 1/2; k_out 2/2; w_in (1+1+1)/2; b1 keeps
+    #    1 of 4 and b2 sends nothing, homophily 1/4 over the one sender.
+    # TOTAL: 6 arcs of 12 slots, density 1/2; k_out 6/4; w_in 9/4;
+    #    homophily (2/3 + 1/2 + 1/4)/3 = 17/36.
+    arcs = {("a1", "a2"): 2, ("a2", "a1"): 1, ("a1", "b1"): 1,
+            ("a2", "b2"): 1, ("b1", "a1"): 3, ("b1", "b2"): 1}
+    graph = network.PracticeGraph({"a1": "A", "a2": "A", "b1": "B", "b2": "B"}, arcs)
+    want = {"A": (2, 1.0, 2.0, 3.0, 7 / 12), "B": (2, 0.5, 1.0, 1.5, 0.25),
+            network.TOTAL: (4, 0.5, 1.5, 2.25, 17 / 36)}
+    for row in network.group_stats(graph):
+        got = (row.nodes, row.density, row.k_out, row.w_in, row.homophily)
+        assert all(_approx(a, b) for a, b in zip(got, want.pop(row.group))), (row.group, got)
+    assert not want, want
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +324,15 @@ def check_ingest_conservation() -> None:
         groups=[("A", 4), ("B", 4)], windows=2, rate=1.5, alpha=0.3, hom=0.5, seed=11
     )
     transactions, roster = synth.generate(config)
-    lines = [transaction_line(t) for t in transactions]
-    lines.append("this is not json")
-    lines.append(json.dumps({"id": "dup", "user": "a000", "timestamp": 1.0,
-                             "practice": "tagging", "facts": ["x"]}))
-    lines.append(json.dumps({"id": "dup", "user": "a000", "timestamp": 1.0,
-                             "practice": "tagging", "facts": ["x"]}))
-    lines.append(json.dumps({"id": "ghost", "user": "nobody", "timestamp": 1.0,
-                             "practice": "tagging", "facts": ["x"]}))
+    record = {"id": "dup", "user": "a000", "timestamp": 1.0,
+              "practice": "tagging", "facts": ["x"]}
+    lines = [transaction_line(t) for t in transactions] + ["this is not json"]
+    lines += [json.dumps(r) for r in (record, record, dict(record, id="ghost", user="nobody"))]
     span = (config.epoch, config.epoch + config.width * config.windows)
     result = load_corpus([line.encode("utf-8") for line in lines], roster, span)
     emitted_ids = {t.id for t in result.transactions}
     assert result.records_read == len(emitted_ids) + result.skipped_total, (
-        result.records_read,
-        len(emitted_ids),
-        result.skipped,
-    )
+        result.records_read, len(emitted_ids), result.skipped)
 
 
 # Every check_* function, in definition order, named without the prefix.
@@ -312,12 +351,10 @@ class CheckResult:
 
 def run(names: Optional[list[str]] = None) -> list[CheckResult]:
     """Execute the battery (or a named subset) and collect results."""
-    selected = CHECKS if not names else [(n, f) for n, f in CHECKS if n in set(names)]
-    if names:
-        known = {n for n, _ in CHECKS}
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    unknown = [n for n in names or () if n not in dict(CHECKS)]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    selected = [(n, f) for n, f in CHECKS if not names or n in names]
     results = []
     for name, func in selected:
         try:

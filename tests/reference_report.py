@@ -1,35 +1,27 @@
-"""Reference facts table and measure series that the production code must agree with.
+"""Reference facts, series and network statistics that the production code must equal.
 
 The README's measures as straight-line code over dense per-window lists.
 For ``culturestream.facts.fact_measures``: every fact gets an r_t for every
 window, institutionness is an exhaustive search over h, and each window's two
 state costs are evaluated one at a time.  For ``culturestream.measures``:
 focus, similarity, reproduction, frequency and the AVERAGE rows, each from
-its definition.  Tests compare the production code with this one; the tool
-never calls it, and it imports nothing from ``culturestream``.
+its definition, and the pairwise cosine.  For ``culturestream.network``: each
+scope's statistics by enumerating its members.  Tests compare the production
+code with this one, and take every oracle from here; the tool never calls it.
+
+The exhaustive institutionness search, the burst improvements' closed form
+and the dense-to-sparse series helper are defined once, in
+``culturestream.selftest``, whose shipped battery runs them too; this module
+imports them from there and nothing else from ``culturestream``.
 """
 
 from __future__ import annotations
 
 import math
 
+from culturestream.selftest import brute_force_institutionness, improvement_closed_form, sparse
+
 P1_CLAMP_EPS = 1e-9
-
-
-def brute_force_institutionness(r, h0, variant):
-    """Largest h such that at least h windows clear the threshold, by exhaustive search."""
-    feasible = [0]
-    for h in range(1, len(r) + 1):
-        satisfied = 0
-        for rt, h0t in zip(r, h0):
-            if h0t is None:
-                continue
-            ok = rt >= h / h0t if variant == "literal" else rt / h0t >= h
-            if ok:
-                satisfied += 1
-        if satisfied >= h:
-            feasible.append(h)
-    return max(feasible)
 
 
 def log_gamma_costs(r, d):
@@ -100,7 +92,6 @@ def fact_rows(cells, count, groups, practice, variant):
     return rows
 
 
-
 def _ranking(vec):
     return sorted(vec, key=lambda fact: (-vec[fact], fact))
 
@@ -123,6 +114,22 @@ def _focus(counts):
     total = sum(nonzero)
     entropy = -sum(c / total * math.log2(c / total) for c in nonzero)
     return 1.0 - entropy / math.log2(len(nonzero))
+
+
+def pair_similarity(v_i, v_j):
+    """Cosine of two count vectors on the union of their facts; build_series' reference."""
+    if not v_i or not v_j:
+        return 0.0
+    dot = 0.0
+    for fact, count in v_i.items():
+        other = v_j.get(fact)
+        if other:
+            dot += count * other
+    if dot == 0.0:
+        return 0.0
+    norm_i = math.sqrt(sum(c * c for c in v_i.values()))
+    norm_j = math.sqrt(sum(c * c for c in v_j.values()))
+    return dot / (norm_i * norm_j)
 
 
 def _similarity(counts, others):
@@ -178,4 +185,45 @@ def average(series_by_group):
         mean = math.fsum(values) / len(values)
         variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
         rows.append((column[0][0], mean, math.sqrt(variance)))
+    return rows
+
+
+def network_rows(roster, references, weighted):
+    """``group_stats`` rows as (group, nodes, density, k_out, k_in, w_out, w_in, homophily).
+
+    ``roster`` maps member to group.  ``references`` are (source, target)
+    pairs; a self-reference or a pair with an endpoint off the roster is
+    dropped, and each other pair adds 1 to its arc's weight (``weighted``) or
+    sets it to 1 (a follow edge).  A scope is a group's active members, or
+    every active member for TOTAL; rows come per group, sorted, then TOTAL.
+    """
+    arcs = {}
+    for src, tgt in references:
+        if src != tgt and src in roster and tgt in roster:
+            arcs[src, tgt] = arcs.get((src, tgt), 0) + 1 if weighted else 1
+    active = sorted({member for arc in arcs for member in arc})
+    homophily = {}  # per sender: the share of its out-weight sent to its own group
+    for m in active:
+        out = {tgt: w for (src, tgt), w in arcs.items() if src == m}
+        if out:
+            same = sum(w for tgt, w in out.items() if roster[tgt] == roster[m])
+            homophily[m] = same / sum(out.values())
+    rows = []
+    for scope in sorted(set(roster.values())) + ["TOTAL"]:
+        members = [m for m in active if scope == "TOTAL" or roster[m] == scope]
+        n = len(members)
+        # density on the scope's induced subgraph; degrees to any roster member
+        inside = sum(1 for s in members for t in members if s != t and (s, t) in arcs)
+        k_out = sum(1 for m in members for t in roster if (m, t) in arcs)
+        k_in = sum(1 for m in members for s in roster if (s, m) in arcs)
+        w_out = sum(arcs.get((m, t), 0) for m in members for t in roster)
+        w_in = sum(arcs.get((s, m), 0) for m in members for s in roster)
+        senders = [homophily[m] for m in members if m in homophily]
+        rows.append((
+            scope,
+            n,
+            inside / (n * (n - 1)) if n >= 2 else None,
+            *[total / n if n else None for total in (k_out, k_in, w_out, w_in)],
+            sum(senders) / len(senders) if senders else None,
+        ))
     return rows

@@ -15,22 +15,19 @@ import pytest
 
 from culturestream.binning import WindowSpec, bin_transactions, rank_vector
 from culturestream.corpus import load_corpus, load_roster
-from culturestream.facts import (
-    burst_episodes,
-    fact_measures,
-    improvement_closed_form,
-    institutionness_value,
-)
-from culturestream.measures import focus, pair_similarity, rbo_extended
+from culturestream.facts import burst_episodes, fact_measures, institutionness_value
+from culturestream.measures import focus, rbo_extended
 from culturestream.network import (
+    TOTAL,
     build_follow_graph,
     build_graph,
+    group_stats,
     load_follow_edges,
 )
 from culturestream.pipeline import build_run_config, parse_config_file, run_pipeline
-from culturestream.selftest import _sparse
 from culturestream.synth import BurstInjection, SynthConfig, generate
-from reference_report import brute_force_institutionness
+from reference_report import brute_force_institutionness, improvement_closed_form, sparse
+from test_measures import two_group_similarity
 
 
 # --- 1. measure bounds and identities on randomized vectors ----------------
@@ -47,7 +44,7 @@ def test_measure_bounds_and_identities_on_random_vectors():
     for vec in vectors:
         assert 0.0 <= focus(vec) <= 1.0
     for left, right in zip(vectors, vectors[1:]):
-        assert 0.0 <= pair_similarity(left, right) <= 1.0 + 1e-12
+        assert all(0.0 <= s <= 1.0 + 1e-12 for s in two_group_similarity(left, right))
         r = rbo_extended(
             rank_vector(left),
             rank_vector(right),
@@ -58,7 +55,7 @@ def test_measure_bounds_and_identities_on_random_vectors():
     assert focus({"only": 17}) == 1.0
     assert focus({"a": 4, "b": 4, "c": 4, "d": 4}) == pytest.approx(0.0, abs=1e-12)
     some = vectors[0]
-    assert pair_similarity(some, some) == pytest.approx(1.0, abs=1e-12)
+    assert two_group_similarity(some, some) == pytest.approx((1.0, 1.0), abs=1e-12)
     keys = rank_vector(some)
     assert rbo_extended(keys, keys, 0.9) == pytest.approx(1.0, abs=1e-12)
     assert rbo_extended(["a", "b"], ["c", "d"], 0.9) == 0.0
@@ -76,13 +73,10 @@ def test_focus_oracle():
 
 
 def test_similarity_oracle():
-    # dot = 1, norms sqrt(2) and 1
-    assert pair_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
-        1.0 / math.sqrt(2.0), abs=1e-12
-    )
-    assert pair_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
-        0.7071, abs=1e-4
-    )
+    # dot = 1, norms sqrt(2) and 1; with no third group each side scores the cosine
+    for value in two_group_similarity({"a": 1, "b": 1}, {"a": 1}):
+        assert value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert value == pytest.approx(0.7071, abs=1e-4)
 
 
 def test_reproduction_oracle():
@@ -94,7 +88,7 @@ def test_burst_improvement_oracle_via_both_routes():
     # base rate 6/20 doubled to 12/20; the binomial coefficients cancel,
     # leaving 5*ln 2 + 5*ln(4/7) at the spike window
     expected = 5.0 * math.log(2.0) + 5.0 * math.log(4.0 / 7.0)
-    [(onset, end, via_log_gamma)] = burst_episodes(_sparse(r), d)
+    [(onset, end, via_log_gamma)] = burst_episodes(sparse(r), d)
     assert (onset, end) == (2, 2)
     via_closed_form = improvement_closed_form(r, d)[1]
     assert via_log_gamma == pytest.approx(expected, abs=1e-12)
@@ -115,7 +109,7 @@ def test_institutionness_scan_matches_exhaustive_search():
             for _ in range(13)
         ]
         for variant in ("literal", "normalized"):
-            if institutionness_value(_sparse(r), h0, variant) != brute_force_institutionness(
+            if institutionness_value(sparse(r), h0, variant) != brute_force_institutionness(
                 r, h0, variant
             ):
                 mismatches += 1
@@ -200,9 +194,8 @@ def test_homophily_recovery(hom):
             if roster[src] == roster[tgt]
         ]
         assert measured == 1.0
-        from culturestream.network import homophily
-
-        assert homophily(graph)["TOTAL"] == 1.0
+        total = group_stats(graph)[-1]
+        assert (total.group, total.homophily) == (TOTAL, 1.0)
         assert per_node  # in-group arcs exist
 
 

@@ -195,6 +195,7 @@ class TestSelftest:
             "institutionness_matches_brute_force", "week_rate_known", "burst_known_weight",
             "burst_cost_routes_agree", "burst_episode_segmentation",
             "burst_zero_week_splits_episodes", "burst_normalization_strongest_is_one",
+            "network_known_graph",
             "window_binning_half_open", "absent_group_week_has_no_vector",
             "synth_deterministic", "ingest_conservation",
         ]

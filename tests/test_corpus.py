@@ -14,7 +14,7 @@ import extract_oracle
 from culturestream.corpus import (
     MALFORMED_SAMPLE,
     PRACTICES,
-    _RT_RE,
+    RT_RE,
     IngestResult,
     Transaction,
     extract_facts,
@@ -130,7 +130,7 @@ class TestExtraction:
         # extract_facts scans for retweets only when "rt" is in the lowercased
         # text.  No marker is missed because the marker's (?i:R) and (?i:T)
         # match only the two ASCII cases of each letter.
-        assert "(?i:RT)" in _RT_RE.pattern
+        assert "(?i:RT)" in RT_RE.pattern
         code_points = [chr(c) for c in range(sys.maxunicode + 1)]
         for letter in "RT":
             matches = re.compile(f"(?i:{letter})").fullmatch

@@ -18,17 +18,17 @@ from culturestream.facts import (
     burst_episodes,
     collect_fact_series,
     fact_measures,
-    improvement_closed_form,
     institutionness_value,
     normalize_bursts,
     write_fact_csv,
 )
-from culturestream.selftest import _sparse
 from reference_report import (
     brute_force_institutionness,
     episodes_from_costs,
     fact_rows,
+    improvement_closed_form,
     log_gamma_costs,
+    sparse,
 )
 
 
@@ -36,7 +36,7 @@ def _episode_rows(r, d):
     """One fact's episodes as output rows, burstiness holding the raw weight."""
     return [
         FactMeasureRow("A", "tagging", "x", 0, weight, onset, end)
-        for onset, end, weight in burst_episodes(_sparse(r), d)
+        for onset, end, weight in burst_episodes(sparse(r), d)
     ]
 
 
@@ -104,10 +104,10 @@ class TestInstitutionness:
 
     def test_five_strong_weeks(self):
         r = [5, 5, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 0]
-        assert institutionness_value(_sparse(r), [1.0] * 13) == 5
+        assert institutionness_value(sparse(r), [1.0] * 13) == 5
 
     def test_heavy_every_week_hits_cap(self):
-        assert institutionness_value(_sparse([50] * 13), [2.0] * 13) == 13
+        assert institutionness_value(sparse([50] * 13), [2.0] * 13) == 13
 
     def test_undefined_weeks_never_satisfy(self):
         assert institutionness_value({1: 5, 2: 5}, [None, None]) == 0
@@ -118,8 +118,8 @@ class TestInstitutionness:
         # for h=1? no: one window suffices); normalized: 3/0.5 = 6 >= h
         r = [3, 3]
         h0 = [0.5, 0.5]
-        assert institutionness_value(_sparse(r), h0, "literal") == 1
-        assert institutionness_value(_sparse(r), h0, "normalized") == 2
+        assert institutionness_value(sparse(r), h0, "literal") == 1
+        assert institutionness_value(sparse(r), h0, "normalized") == 2
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ class TestInstitutionness:
     )
     def test_matches_exhaustive_search(self, r, h0_value, variant):
         h0 = [h0_value] * len(r)
-        assert institutionness_value(_sparse(r), h0, variant) == brute_force_institutionness(
+        assert institutionness_value(sparse(r), h0, variant) == brute_force_institutionness(
             r, h0, variant
         )
 
@@ -143,11 +143,11 @@ class TestInstitutionness:
     )
     def test_monotone_in_references(self, r, h0_value, data):
         h0 = [h0_value] * len(r)
-        before = institutionness_value(_sparse(r), h0)
+        before = institutionness_value(sparse(r), h0)
         idx = data.draw(st.integers(min_value=0, max_value=len(r) - 1))
         bumped = list(r)
         bumped[idx] += data.draw(st.integers(min_value=1, max_value=10))
-        assert institutionness_value(_sparse(bumped), h0) >= before
+        assert institutionness_value(sparse(bumped), h0) >= before
 
 
 def _near(x):
@@ -184,7 +184,7 @@ class TestInstitutionnessBoundaries:
     def test_boundary_rates_per_window(self, windows, variant):
         r = [rt for rt, _ in windows]
         h0 = [h0t for _, h0t in windows]
-        assert institutionness_value(_sparse(r), h0, variant) == brute_force_institutionness(
+        assert institutionness_value(sparse(r), h0, variant) == brute_force_institutionness(
             r, h0, variant
         )
 
@@ -194,7 +194,7 @@ class TestInstitutionnessBoundaries:
         for _ in range(100):
             r = [rng.choice((0, rng.randint(1, 80))) for _ in range(78)]
             h0 = [None if rng.random() < 0.1 else rng.choice(BOUNDARY_H0) for _ in range(78)]
-            assert institutionness_value(_sparse(r), h0, variant) == brute_force_institutionness(
+            assert institutionness_value(sparse(r), h0, variant) == brute_force_institutionness(
                 r, h0, variant
             ), (r, h0)
 
@@ -209,12 +209,12 @@ class TestInstitutionnessBoundaries:
     )
     def test_product_one_ulp_off_the_bound(self, rt, h0t, windows, want):
         r, h0 = [rt] * windows, [h0t] * windows
-        assert institutionness_value(_sparse(r), h0) == want
+        assert institutionness_value(sparse(r), h0) == want
         assert brute_force_institutionness(r, h0, "literal") == want
 
     @pytest.mark.parametrize("variant", INSTITUTIONNESS_VARIANTS)
     def test_large_exact_case(self, variant):
-        assert institutionness_value(_sparse([50] * 2000), [1.0] * 2000, variant) == 50
+        assert institutionness_value(sparse([50] * 2000), [1.0] * 2000, variant) == 50
 
 
 series_strategy = st.lists(
@@ -267,7 +267,7 @@ class TestBurstCosts:
     def test_constant_rate_never_prefers_burst_state(self):
         r, d = [2, 4, 6], [10, 20, 30]
         assert all(imp <= 1e-12 for imp in improvement_closed_form(r, d))
-        assert burst_episodes(_sparse(r), d) == []
+        assert burst_episodes(sparse(r), d) == []
 
     def test_saturated_series_has_finite_costs(self):
         # p0 == 1: ln(1 - p0) is never taken
@@ -289,7 +289,7 @@ class TestBurstCosts:
         exact = _comb_improvements(r, d)
         for (g0, g1), want in zip(log_gamma_costs(r, d), exact):
             assert g0 - g1 == pytest.approx(want, abs=1e-9)
-        _assert_episodes_follow(burst_episodes(_sparse(r), d), exact)
+        _assert_episodes_follow(burst_episodes(sparse(r), d), exact)
 
     @given(series_strategy)
     def test_closed_form_matches_log_gamma_route(self, rd):
@@ -297,7 +297,7 @@ class TestBurstCosts:
         closed = improvement_closed_form(r, d)
         for (g0, g1), direct in zip(log_gamma_costs(r, d), closed):
             assert g0 - g1 == pytest.approx(direct, abs=1e-9)
-        _assert_episodes_follow(burst_episodes(_sparse(r), d), closed)
+        _assert_episodes_follow(burst_episodes(sparse(r), d), closed)
 
 
 class TestBurstBitIdentity:
@@ -310,12 +310,12 @@ class TestBurstBitIdentity:
             r = [rng.choice((0, 0, rng.randint(0, dt))) for dt in d]
             if sum(r) == 0:
                 continue
-            assert burst_episodes(_sparse(r), d) == episodes_from_costs(log_gamma_costs(r, d))
+            assert burst_episodes(sparse(r), d) == episodes_from_costs(log_gamma_costs(r, d))
 
     def test_every_reference_in_its_own_window(self):
         # r == d gives p0 == 1, where ln(1 - p0) is a math domain error.
         r = d = [3, 0, 5, 1]
-        assert burst_episodes(_sparse(r), d) == episodes_from_costs(log_gamma_costs(r, d)) == []
+        assert burst_episodes(sparse(r), d) == episodes_from_costs(log_gamma_costs(r, d)) == []
 
     def test_clamp_bursts_a_window_without_references(self):
         # p0 = 2e9 / (2e9 + 1) > 1 - 1e-9, so the clamp puts p1 below p0 and
@@ -323,7 +323,7 @@ class TestBurstBitIdentity:
         r, d = [2 * 10**9, 0], [2 * 10**9, 1]
         want = episodes_from_costs(log_gamma_costs(r, d))
         assert want == [(2, 2, 0.6931470695376483)]
-        assert burst_episodes(_sparse(r), d) == want
+        assert burst_episodes(sparse(r), d) == want
 
 
 class TestEpisodes:
@@ -338,11 +338,11 @@ class TestEpisodes:
         assert weight == pytest.approx(0.667656963122613, abs=1e-12)
 
     def test_maximal_runs_split_on_negative_window(self):
-        episodes = burst_episodes(_sparse([3, 3, 0, 3]), [10, 10, 40, 10])
+        episodes = burst_episodes(sparse([3, 3, 0, 3]), [10, 10, 40, 10])
         assert [(onset, end) for onset, end, _ in episodes] == [(1, 2), (4, 4)]
 
     def test_zero_volume_window_splits_runs(self):
-        episodes = burst_episodes(_sparse([6, 0, 6, 0]), [10, 0, 10, 40])
+        episodes = burst_episodes(sparse([6, 0, 6, 0]), [10, 0, 10, 40])
         assert [(onset, end) for onset, end, _ in episodes] == [(1, 1), (3, 3)]
 
     def test_unreferenced_fact_has_no_episodes(self):
@@ -353,7 +353,7 @@ class TestEpisodes:
         r, d = rd
         improvements = [g0 - g1 for g0, g1 in log_gamma_costs(r, d)]
         covered = set()
-        for onset, end, weight in burst_episodes(_sparse(r), d):
+        for onset, end, weight in burst_episodes(sparse(r), d):
             assert weight == sum(improvements[onset - 1 : end])
             for w in range(onset, end + 1):
                 assert improvements[w - 1] > 0

@@ -16,7 +16,6 @@ from culturestream.measures import (
     average_series,
     build_series,
     focus,
-    pair_similarity,
     rbo_extended,
     write_series_csv,
 )
@@ -59,30 +58,40 @@ class TestFocus:
         assert focus(scaled) == pytest.approx(focus(counts), abs=1e-12)
 
 
+def two_group_similarity(left, right):
+    """build_series' (A, B) similarity in one window where A holds ``left`` and B ``right``.
+
+    With no third group, each side's score is the pair's cosine.
+    """
+    vectors = {("A", 1, "tagging"): left, ("B", 1, "tagging"): right}
+    series = build_series(vectors, WindowSpec(0.0, 1), "tagging", ["A", "B"], "similarity")
+    return series["A"][0][1], series["B"][0][1]
+
+
 class TestPairSimilarity:
     def test_known_pair(self):
-        assert pair_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
-            0.7071067811865475, abs=1e-12
+        assert two_group_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(
+            (0.7071067811865475, 0.7071067811865475), abs=1e-12
         )
 
     def test_identical_is_one(self):
         v = {"a": 3, "b": 1, "c": 2}
-        assert pair_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert two_group_similarity(v, v) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_disjoint_is_zero(self):
-        assert pair_similarity({"a": 2}, {"b": 5}) == 0.0
+        assert two_group_similarity({"a": 2}, {"b": 5}) == (0.0, 0.0)
 
     @given(counts_strategy, counts_strategy)
     def test_symmetric_and_bounded(self, c1, c2):
-        s = pair_similarity(c1, c2)
-        assert s == pytest.approx(pair_similarity(c2, c1), abs=1e-12)
+        s, t = two_group_similarity(c1, c2)
+        assert s == t == two_group_similarity(c2, c1)[0]
         assert 0.0 <= s <= 1.0 + 1e-12
 
     @given(counts_strategy, counts_strategy, st.integers(min_value=2, max_value=9))
     def test_scale_invariant(self, c1, c2, k):
         scaled = {key: c * k for key, c in c1.items()}
-        assert pair_similarity(scaled, c2) == pytest.approx(
-            pair_similarity(c1, c2), abs=1e-12
+        assert two_group_similarity(scaled, c2) == pytest.approx(
+            two_group_similarity(c1, c2), abs=1e-12
         )
 
 
@@ -132,7 +141,7 @@ class TestGroupSimilarity:
         )
     )
     def test_series_equals_pairwise_mean_bit_for_bit(self, cells):
-        """Equal with == to the mean of pair_similarity over the window's other cells, in order."""
+        """Equal with == to the mean of the reference cosines to the other cells, in order."""
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         vectors = {(g, w, "tagging"): vec for (g, w), vec in cells.items()}
         groups = list("ABCDEF")
@@ -144,7 +153,9 @@ class TestGroupSimilarity:
                 if own is None or not others:
                     assert value is None
                 else:
-                    expected = sum(pair_similarity(own, v) for v in others) / len(others)
+                    expected = sum(
+                        reference_report.pair_similarity(own, v) for v in others
+                    ) / len(others)
                     assert value == expected
 
 

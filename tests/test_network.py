@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from culturestream.corpus import Transaction
+import reference_report
+from culturestream.corpus import USER_PRACTICES, Transaction
 from culturestream.errors import DataError
 from culturestream.network import (
     TOTAL,
     build_follow_graph,
     build_graph,
     group_stats,
-    homophily,
     homophily_by_node,
     load_follow_edges,
     write_edges_csv,
@@ -132,16 +134,15 @@ class TestStats:
         assert "dave" not in per_node  # no out-arcs, no signal
 
     def test_group_homophily_averages_members(self):
-        hom = homophily(self._graph())
-        assert hom["A"] == pytest.approx(0.5)
-        assert hom["B"] == pytest.approx(0.0)
-        assert hom[TOTAL] == pytest.approx(1 / 3)
+        rows = self._rows(self._graph())
+        assert rows["A"].homophily == pytest.approx(0.5)
+        assert rows["B"].homophily == pytest.approx(0.0)
+        assert rows[TOTAL].homophily == pytest.approx(1 / 3)
 
     def test_silent_group_maps_to_none(self):
-        graph = build_graph([_rt("1", "alice", ["bob"])], "retweeting", ROSTER)
-        hom = homophily(graph)
-        assert hom["B"] is None
-        assert hom["A"] == 1.0
+        rows = self._rows(build_graph([_rt("1", "alice", ["bob"])], "retweeting", ROSTER))
+        assert rows["B"].homophily is None
+        assert rows["A"].homophily == 1.0
 
     def test_stats_rows_ordered_groups_then_total(self):
         rows = group_stats(self._graph())
@@ -155,6 +156,44 @@ class TestStats:
         total = self._rows(graph)[TOTAL]
         n = total.nodes
         assert total.w_out * n == total.w_in * n == graph.total_weight() == 6
+
+
+HANDLES = ["ann", "ben", "cy", "dee", "eli", "flo", "gus"]
+# "zed" is on no roster: references to it, and follow edges with it, are dropped.
+handle = st.sampled_from(HANDLES + ["zed"])
+rosters = st.dictionaries(st.sampled_from(HANDLES), st.sampled_from("ABC"), min_size=1)
+streams = st.lists(
+    st.tuples(handle, st.sampled_from(USER_PRACTICES), st.lists(handle, max_size=3, unique=True)),
+    max_size=25,
+)
+
+
+def _assert_rows_equal_reference(graph, roster, references, weighted):
+    want = reference_report.network_rows(roster, references, weighted)
+    got = [(r.group, r.nodes, r.density, r.k_out, r.k_in, r.w_out, r.w_in, r.homophily)
+           for r in group_stats(graph)]
+    assert [row[:2] for row in got] == [row[:2] for row in want]  # scopes and node counts
+    for row, expected in zip(got, want):
+        for value, ref in zip(row[2:], expected[2:]):
+            assert (value is None) == (ref is None), (row, expected)
+            assert value is None or abs(value - ref) <= 1e-12, (row, expected)
+
+
+@given(rosters, streams, st.lists(st.tuples(handle, handle), max_size=25))
+def test_group_stats_equal_member_enumeration(roster, messages, edges):
+    """Every stats row of the user graphs and the follow graph equals the reference's."""
+    transactions = [
+        Transaction(str(i), author, roster[author], 1.0, practice, tuple(targets))
+        for i, (author, practice, targets) in enumerate(messages)
+        if author in roster  # ingest emits only roster authors
+    ]
+    for practice in USER_PRACTICES:
+        references = [(t.author, tgt) for t in transactions if t.practice == practice
+                      for tgt in t.facts]
+        graph = build_graph(transactions, practice, roster)
+        _assert_rows_equal_reference(graph, roster, references, weighted=True)
+    graph, _ = build_follow_graph(edges, roster)
+    _assert_rows_equal_reference(graph, roster, edges, weighted=False)
 
 
 def test_stats_csv_golden(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from culturestream.binning import WindowSpec, bin_transactions
 from culturestream.corpus import load_corpus, load_roster, write_transactions_jsonl
-from culturestream.network import build_graph, homophily
+from culturestream.network import TOTAL, build_graph, group_stats
 from culturestream.synth import (
     BurstInjection,
     SynthConfig,
@@ -110,7 +110,8 @@ class TestMechanisms:
             assert roster[t.facts[0]] == t.group
             assert t.facts[0] != t.author
         graph = build_graph(txs, "retweeting", roster)
-        assert homophily(graph)["TOTAL"] == 1.0
+        total = group_stats(graph)[-1]
+        assert (total.group, total.homophily) == (TOTAL, 1.0)
 
     def test_targets_never_self(self):
         txs, _ = generate(_config(hom=0.0, practices=("retweeting",), rate=5.0))
