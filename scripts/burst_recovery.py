@@ -38,7 +38,7 @@ def classify(seed: int, rate: float, multiplier: float) -> str:
         practices=("tagging",),
     )
     transactions, _ = generate(config)
-    spec = WindowSpec(epoch=config.epoch, count=config.windows)
+    spec = WindowSpec(epoch=config.epoch, count=config.windows, width=config.width)
     vectors, _ = bin_transactions(transactions, spec)
     rows = fact_measures(vectors, spec, [g for g, _ in GROUPS], "tagging")
     for group, _ in GROUPS:

@@ -33,7 +33,7 @@ def run_point(hom: float, members: int, seed: int) -> tuple[float, float, int]:
     share = (members - 1) / (2 * members - 1)
     expected = hom + (1.0 - hom) * share
     total = group_stats(graph)[-1]  # the TOTAL scope comes after the groups
-    return total.homophily, expected, graph.total_weight()
+    return total.homophily, expected, sum(graph.arcs.values())
 
 
 def main() -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from culturestream.corpus import parse_timestamp, write_transactions_jsonl
+from culturestream.corpus import write_transactions_jsonl
 from culturestream.synth import BurstInjection, SynthConfig, generate, write_roster_csv
 
 EPOCH = "2013-07-20T00:00:00Z"
@@ -35,7 +35,7 @@ def make_stream_config() -> SynthConfig:
         burst_injections=[BurstInjection("storm", 7, 7, 5.0)],
         warmup_facts=12,
         warmup_tokens=40,
-        epoch=parse_timestamp(EPOCH),
+        epoch=EPOCH,
     )
 
 

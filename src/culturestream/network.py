@@ -33,17 +33,6 @@ class PracticeGraph:
     group_of: dict[str, str]  # the roster, shared by every graph
     arcs: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def nodes(self) -> set[str]:
-        """Roster members active in the practice as source or target."""
-        active = set()
-        for src, tgt in self.arcs:
-            active.add(src)
-            active.add(tgt)
-        return active
-
-    def total_weight(self) -> int:
-        return sum(self.arcs.values())
-
 
 def build_graph(
     transactions: Iterable[Transaction], practice: str, roster: dict[str, str]
@@ -109,20 +98,6 @@ def load_follow_edges(lines: Iterable[str]) -> tuple[list[tuple[str, str]], int]
     return edges, unparseable
 
 
-def homophily_by_node(graph: PracticeGraph) -> dict[str, float]:
-    """Per sender: share of out-going weight directed to same-group targets.
-
-    Nodes without out-arcs are absent (they carry no homophily signal).
-    """
-    same: dict[str, int] = {}
-    total: dict[str, int] = {}
-    for (src, tgt), weight in graph.arcs.items():
-        total[src] = total.get(src, 0) + weight
-        if graph.group_of.get(src) == graph.group_of.get(tgt):
-            same[src] = same.get(src, 0) + weight
-    return {node: same.get(node, 0) / tot for node, tot in total.items()}
-
-
 @dataclass
 class GroupNetworkStats:
     group: str
@@ -138,33 +113,40 @@ class GroupNetworkStats:
 def group_stats(graph: PracticeGraph) -> list[GroupNetworkStats]:
     """Stats rows for every group (sorted) followed by the TOTAL scope.
 
-    One pass over the arcs tallies every group at once.  Homophily means sum
-    each scope's senders in ``homophily_by_node`` order.
+    One walk over the arcs tallies every group at once, the active nodes and
+    each sender's out-weight.  Homophily means sum each scope's senders in
+    the order of their first arc.
     """
     group_of = graph.group_of
     groups = sorted(set(group_of.values()))
-    active = graph.nodes()
     # per group: [nodes, arcs inside, k_out, k_in, w_out, w_in]; degrees and
     # weights count arcs to or from any node, not only arcs inside the group
     tally = {group: [0, 0, 0, 0, 0, 0] for group in groups}
-    for node in active:
-        tally[group_of[node]][0] += 1
+    active: set[str] = set()
+    sent: dict[str, list[int]] = {}  # sender: [same-group weight, out-weight]
     for (src, tgt), weight in graph.arcs.items():
         src_group, tgt_group = group_of[src], group_of[tgt]
+        active.add(src)
+        active.add(tgt)
+        out = sent.setdefault(src, [0, 0])
         if src_group == tgt_group:
             tally[src_group][1] += 1
+            out[0] += weight
+        out[1] += weight
         tally[src_group][2] += 1
         tally[src_group][4] += weight
         tally[tgt_group][3] += 1
         tally[tgt_group][5] += weight
-    per_node = homophily_by_node(graph)
+    for node in active:
+        tally[group_of[node]][0] += 1
+    shares = {node: same / total for node, (same, total) in sent.items()}
     hom: dict[str, list[float]] = {group: [] for group in groups}
-    for node, h in per_node.items():
+    for node, h in shares.items():
         hom[group_of[node]].append(h)
-    arcs, weight = len(graph.arcs), graph.total_weight()
+    arcs, weight = len(graph.arcs), sum(t[4] for t in tally.values())
     scopes = [(group, tally[group], hom[group]) for group in groups]
     scopes.append(
-        (TOTAL, [len(active), arcs, arcs, arcs, weight, weight], list(per_node.values()))
+        (TOTAL, [len(active), arcs, arcs, arcs, weight, weight], list(shares.values()))
     )
     rows = []
     for scope, (n, inside, k_out, k_in, w_out, w_in), values in scopes:
@@ -194,7 +176,7 @@ def write_edges_csv(graph: PracticeGraph, path) -> int:
         path,
         ["source", "target", "weight", "source_group", "target_group"],
         (
-            (src, tgt, weight, group_of[src], group_of[tgt])
-            for (src, tgt), weight in sorted(graph.arcs.items())
+            (src, tgt, graph.arcs[src, tgt], group_of[src], group_of[tgt])
+            for src, tgt in sorted(graph.arcs)  # keys, not items: no new pair per arc
         ),
     )

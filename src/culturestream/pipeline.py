@@ -282,8 +282,8 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
 
     A failure inside one practice is recorded in the manifest and does not
     disturb the other practices' artifacts.  Every pass over the transactions
-    (binning, then each user graph) comes first, and the transactions are
-    released before the per-practice measures run.
+    (binning, then each user graph, written once built) comes first, and the
+    transactions are released before the per-practice measures run.
     """
     spec, roster, ingest, out = _load(config)
     artifacts: dict[str, int] = {}
@@ -300,14 +300,14 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     if not ingest.transactions:
         logger.warning("corpus produced no transactions; artifacts will be header-only")
     vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
-    # Each user graph, or the exception its build raised, for the practice loop.
-    graphs: dict[str, object] = {}
+    # Each user graph is written once built; a failed build raises in its practice's turn.
+    failed: dict[str, Exception] = {}
     for practice in config.practices if "network" in stages else ():
         if practice in USER_PRACTICES:
             try:
-                graphs[practice] = network.build_graph(ingest.transactions, practice, roster)
+                emit_graph(practice, network.build_graph(ingest.transactions, practice, roster))
             except Exception as exc:
-                graphs[practice] = exc
+                failed[practice] = exc
     if "ingest" in stages:
         emit("ingest_report.csv", write_ingest_report, ingest)
     counts = dict(_ingest_counts(ingest), dropped_outside_grid=dropped)
@@ -334,10 +334,8 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
             if "facts" in stages:
                 rows = facts.fact_measures(cells, spec, groups, practice, config.inst_variant)
                 emit(f"facts_{practice}.csv", facts.write_fact_csv, rows)
-            if practice in graphs:
-                if isinstance(graph := graphs.pop(practice), Exception):
-                    raise graph
-                emit_graph(practice, graph)
+            if practice in failed:
+                raise failed.pop(practice)
             status[practice] = "ok"
         except Exception as exc:  # isolate practice failures
             logger.exception("practice %s failed", practice)

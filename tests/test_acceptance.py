@@ -170,14 +170,15 @@ def test_homophily_recovery(hom):
     )
     transactions, roster = generate(config)
     graph = build_graph(transactions, "retweeting", roster)
+    total_weight = sum(graph.arcs.values())
     assert len(graph.arcs) >= 10_000
-    assert graph.total_weight() >= 10_000
+    assert total_weight >= 10_000
 
     measured = sum(
         weight
         for (src, tgt), weight in graph.arcs.items()
         if roster[src] == roster[tgt]
-    ) / graph.total_weight()
+    ) / total_weight
     # the cross-group draw is uniform over the whole roster minus the
     # sender, so a (1 - hom) draw still lands in-group with probability
     # share = 99/199
@@ -216,14 +217,18 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
     assert dropped == 0
     assert sum(sum(vec.values()) for vec in vectors.values()) == emitted_pairs
 
+    def assert_conserved(graph, references):
+        # each group row's mean weights times its node count sum back to the
+        # stream's references, out-going and in-coming alike
+        rows = [row for row in group_stats(graph) if row.group != TOTAL and row.nodes]
+        for field in ("w_out", "w_in"):
+            products = [getattr(row, field) * row.nodes for row in rows]
+            assert all(abs(p - round(p)) < 1e-9 for p in products), (field, products)
+            assert sum(round(p) for p in products) == references, field
+        assert sum(graph.arcs.values()) == references
+
     for practice in ("retweeting", "mentioning"):
         graph = build_graph(ingest.transactions, practice, roster)
-        out_total = sum(
-            weight for (src, _), weight in graph.arcs.items() if src in graph.nodes()
-        )
-        in_total = sum(
-            weight for (_, tgt), weight in graph.arcs.items() if tgt in graph.nodes()
-        )
         references = sum(
             1
             for t in ingest.transactions
@@ -231,15 +236,17 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
             for f in t.facts
             if f in roster and f != t.author
         )
-        assert out_total == in_total == graph.total_weight() == references
+        assert references > 0
+        assert_conserved(graph, references)
 
     with open(fixtures_dir / "demo_follow.csv", encoding="utf-8") as fh:
         edges, unparseable = load_follow_edges(fh)
     assert unparseable == 0
     graph, _ = build_follow_graph(edges, roster)
-    out_total = sum(weight for (src, _), weight in graph.arcs.items() if src in graph.nodes())
-    in_total = sum(weight for _, weight in graph.arcs.items())
-    assert out_total == in_total == graph.total_weight() == len(graph.arcs)
+    references = len({(src, tgt) for src, tgt in edges
+                      if src != tgt and src in roster and tgt in roster})
+    assert len(graph.arcs) == references > 0
+    assert_conserved(graph, references)
 
 
 # --- 7. byte-identical reruns ----------------------------------------------

@@ -293,6 +293,21 @@ class TestStageSubsets:
             "manifest.json",
         }
 
+    def test_partial_commands_write_the_report_bytes(self, demo_run, fixtures_dir, tmp_path):
+        report_out, report = demo_run
+        written = set()
+        for command in ("measure", "facts", "network"):
+            out = tmp_path / command
+            assert main([command, "--config", str(fixtures_dir / "demo.cfg"),
+                         "--out", str(out)]) == 0
+            names = {p.name for p in out.iterdir()} - {"manifest.json"}
+            assert names
+            for name in names:
+                assert (out / name).read_bytes() == (report_out / name).read_bytes(), name
+            written |= names
+        assert {"edges_following.csv", "network_following.csv"} <= written
+        assert written == set(report["artifacts"])
+
 
 def test_console_script_entry_point(tmp_path):
     # the child imports the same package as this test, installed or not

@@ -14,7 +14,6 @@ from culturestream.network import (
     build_follow_graph,
     build_graph,
     group_stats,
-    homophily_by_node,
     load_follow_edges,
     write_edges_csv,
     write_stats_csv,
@@ -125,13 +124,21 @@ class TestStats:
         )
 
     def test_node_homophily_is_share_of_same_group_weight(self):
-        per_node = homophily_by_node(self._graph())
-        assert per_node == {
-            "alice": pytest.approx(1.0),
-            "bob": pytest.approx(0.0),
-            "carol": pytest.approx(0.0),
-        }
-        assert "dave" not in per_node  # no out-arcs, no signal
+        # alice and carol are the only senders of their groups, so each
+        # group's homophily is that sender's share; bob and dave are active
+        # only as targets and carry no signal
+        txs = [
+            _rt("1", "alice", ["bob"]), _rt("2", "alice", ["bob"]), _rt("3", "alice", ["bob"]),
+            _rt("4", "alice", ["carol"]),
+            _rt("5", "carol", ["dave"]), _rt("6", "carol", ["alice"]),
+        ]
+        rows = self._rows(build_graph(txs, "retweeting", ROSTER))
+        assert (rows["A"].nodes, rows["B"].nodes) == (2, 2)
+        assert rows["A"].homophily == pytest.approx(3 / 4)  # weighted, not 1 of 2 arcs
+        assert rows["B"].homophily == pytest.approx(1 / 2)
+        assert rows[TOTAL].homophily == pytest.approx((3 / 4 + 1 / 2) / 2)
+        # a sender whose weight all leaves its group scores 0: carol alone in B
+        assert self._rows(self._graph())["B"].homophily == 0.0
 
     def test_group_homophily_averages_members(self):
         rows = self._rows(self._graph())
@@ -155,7 +162,7 @@ class TestStats:
         graph = self._graph()
         total = self._rows(graph)[TOTAL]
         n = total.nodes
-        assert total.w_out * n == total.w_in * n == graph.total_weight() == 6
+        assert total.w_out * n == total.w_in * n == sum(graph.arcs.values()) == 6
 
 
 HANDLES = ["ann", "ben", "cy", "dee", "eli", "flo", "gus"]

@@ -313,6 +313,33 @@ class TestPracticeIsolation:
         for name in manifest["artifacts"]:
             assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
 
+    def test_failing_measures_keep_the_network_artifacts(self, demo_run, fixtures_dir,
+                                                         tmp_path, monkeypatch):
+        fact_measures = facts.fact_measures
+
+        def failing(cells, spec, groups, practice, *args):
+            if practice == "mentioning":
+                raise RuntimeError("fact store unavailable")
+            return fact_measures(cells, spec, groups, practice, *args)
+
+        monkeypatch.setattr(facts, "fact_measures", failing)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(fixtures_dir / "demo.cfg"), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["practices"]["mentioning"] == "failed: fact store unavailable"
+
+        clean_out, clean = demo_run
+        assert manifest["artifacts"] == {
+            name: rows for name, rows in clean["artifacts"].items()
+            if name != "facts_mentioning.csv"
+        }
+        assert {"network_mentioning.csv", "edges_mentioning.csv"} <= set(manifest["artifacts"])
+        assert manifest["practices"] == dict(clean["practices"],
+                                             mentioning=manifest["practices"]["mentioning"])
+        assert {p.name for p in out.iterdir()} == set(manifest["artifacts"]) | {"manifest.json"}
+        for name in manifest["artifacts"]:
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
+
 
 class TestReleasedTransactions:
     def test_list_is_released_before_the_fact_measures(self, tmp_path, monkeypatch):
@@ -339,6 +366,30 @@ class TestReleasedTransactions:
         manifest = run_pipeline(build_run_config(_small_inputs(tmp_path)))
         assert manifest["ingest"]["transactions"] > 0
         assert released == [True] * len(PRACTICES)
+
+    def test_no_user_graph_outlives_its_artifacts(self, fixtures_dir, tmp_path, monkeypatch):
+        refs = []
+        build_graph = network.build_graph
+        fact_measures = facts.fact_measures
+
+        def keeping(*args, **kwargs):
+            graph = build_graph(*args, **kwargs)
+            refs.append(weakref.ref(graph))
+            return graph
+
+        alive = []
+
+        def recording(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return fact_measures(*args, **kwargs)
+
+        monkeypatch.setattr(network, "build_graph", keeping)
+        monkeypatch.setattr(facts, "fact_measures", recording)
+        values = dict(parse_config_file(fixtures_dir / "demo.cfg"), out=str(tmp_path / "out"))
+        manifest = run_pipeline(build_run_config(values))
+        assert set(manifest["practices"].values()) == {"ok"}
+        assert len(refs) == 2
+        assert alive == [0] * len(PRACTICES)
 
 
 class TestByteOrderMark:
