@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from culturestream.corpus import write_transactions_jsonl
-from culturestream.synth import BurstInjection, SynthConfig, generate, write_roster_csv
+from culturestream.synth import (
+    BurstInjection,
+    SynthConfig,
+    draw_target,
+    generate,
+    write_roster_csv,
+)
 
 EPOCH = "2013-07-20T00:00:00Z"
 SEED = 42
@@ -40,18 +46,17 @@ def make_stream_config() -> SynthConfig:
 
 
 def make_follow_edges(roster: dict[str, str], per_member: int = 6, hom: float = 0.7):
-    """Deterministic follow edges with the same homophily mixing as the stream."""
+    """Deterministic follow edges, each target drawn as the stream draws one."""
     rng = np.random.default_rng(FOLLOW_SEED)
     members = list(roster)
-    edges = set()
+    index_of = {m: i for i, m in enumerate(members)}
+    edges = []
     for member in members:
         own = [m for m in members if roster[m] == roster[member] and m != member]
-        others = [m for m in members if m != member]
-        while len([e for e in edges if e[0] == member]) < per_member:
-            pool = own if rng.random() < hom else others
-            target = pool[int(rng.random() * len(pool))]
-            if target != member:
-                edges.add((member, target))
+        targets = set()
+        while len(targets) < per_member:
+            targets.add(draw_target(rng, member, members, index_of, own, hom))
+        edges += ((member, target) for target in targets)
     return sorted(edges)
 
 

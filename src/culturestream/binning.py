@@ -80,14 +80,14 @@ def rank_vector(vector: CultureVector) -> list[str]:
     return sorted(vector, key=lambda fact: (-vector[fact], fact))
 
 
-def write_vectors_csv(vectors: dict[VectorKey, CultureVector], path) -> int:
-    """Export vectors as ``group,window,practice,fact_kind,fact,count``."""
+def write_vectors_csv(vectors: dict[VectorKey, CultureVector], practice: str, path) -> int:
+    """Export one practice's vectors as ``group,window,practice,fact_kind,fact,count``."""
     return write_csv(
         path,
         ["group", "window", "practice", "fact_kind", "fact", "count"],
         (
-            (*key, KIND_FOR_PRACTICE[key[2]], fact, count)
-            for key in sorted(vectors)
+            (*key, KIND_FOR_PRACTICE[practice], fact, count)
+            for key in sorted(key for key in vectors if key[2] == practice)
             for fact, count in sorted(vectors[key].items())
         ),
     )

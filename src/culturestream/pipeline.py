@@ -300,43 +300,35 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     if not ingest.transactions:
         logger.warning("corpus produced no transactions; artifacts will be header-only")
     vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
-    # Each user graph is written once built; a failed build raises in its practice's turn.
-    failed: dict[str, Exception] = {}
+    # Each user graph is written once built; a failed build fails its practice at once.
     for practice in config.practices if "network" in stages else ():
         if practice in USER_PRACTICES:
             try:
                 emit_graph(practice, network.build_graph(ingest.transactions, practice, roster))
             except Exception as exc:
-                failed[practice] = exc
+                logger.exception("practice %s failed", practice)
+                status[practice] = f"failed: {exc}"
     if "ingest" in stages:
         emit("ingest_report.csv", write_ingest_report, ingest)
     counts = dict(_ingest_counts(ingest), dropped_outside_grid=dropped)
     del ingest
 
     groups = sorted(set(roster.values()))
-    # Each practice's cells, split once, in binning order and with the same keys.
-    by_practice: dict[str, dict] = {practice: {} for practice in config.practices}
-    for key, vec in vectors.items():
-        if (split := by_practice.get(key[2])) is not None:
-            split[key] = vec
-
-    for practice, cells in by_practice.items():
+    for practice in config.practices:
         try:
             if "vectors" in stages:
-                emit(f"vectors_{practice}.csv", binning.write_vectors_csv, cells)
+                emit(f"vectors_{practice}.csv", binning.write_vectors_csv, vectors, practice)
             if "series" in stages:
                 for measure in measures.MEASURES:
                     per_group = measures.build_series(
-                        cells, spec, practice, groups, measure, config.rbo_p
+                        vectors, spec, practice, groups, measure, config.rbo_p
                     )
                     avg = measures.average_series(per_group)
                     emit(f"{measure}_{practice}.csv", measures.write_series_csv, per_group, avg)
             if "facts" in stages:
-                rows = facts.fact_measures(cells, spec, groups, practice, config.inst_variant)
+                rows = facts.fact_measures(vectors, spec, groups, practice, config.inst_variant)
                 emit(f"facts_{practice}.csv", facts.write_fact_csv, rows)
-            if practice in failed:
-                raise failed.pop(practice)
-            status[practice] = "ok"
+            status.setdefault(practice, "ok")
         except Exception as exc:  # isolate practice failures
             logger.exception("practice %s failed", practice)
             status[practice] = f"failed: {exc}"
@@ -346,10 +338,12 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
             with open(config.follow_edges, encoding="utf-8-sig") as fh:
                 edges, unparseable = network.load_follow_edges(fh)
             graph, skipped_edges = network.build_follow_graph(edges, roster)
+            del edges
             if unparseable or skipped_edges:
                 logger.info("skipped %d unparseable follow rows and %d self-loops or edges "
                             "outside the roster", unparseable, skipped_edges)
             emit_graph("following", graph)
+            del graph  # neither the edges nor the graph lives through the hashing
             status["following"] = "ok"
         except Exception as exc:
             logger.exception("following network failed")

@@ -183,7 +183,7 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
                     if practice == "tagging":
                         fact = urn.draw(config.alpha, boosts)
                     else:
-                        fact = _draw_target(
+                        fact = draw_target(
                             rng, member, members, index_of, same_group[member], config.hom
                         )
                         if fact is None:
@@ -202,7 +202,8 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
     return transactions, roster
 
 
-def _draw_target(rng, member, members, index_of, own_group, hom) -> Optional[str]:
+def draw_target(rng, member, members, index_of, own_group, hom) -> Optional[str]:
+    """One user target: own group with probability ``hom``, else anyone but ``member``."""
     if rng.random() < hom:
         if not own_group:
             return None

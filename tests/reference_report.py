@@ -1,13 +1,15 @@
-"""Reference facts, series and network statistics that the production code must equal.
+"""Reference cells, facts, series and network statistics that the production code must equal.
 
 The README's measures as straight-line code over dense per-window lists.
-For ``culturestream.facts.fact_measures``: every fact gets an r_t for every
-window, institutionness is an exhaustive search over h, and each window's two
-state costs are evaluated one at a time.  For ``culturestream.measures``:
-focus, similarity, reproduction, frequency and the AVERAGE rows, each from
-its definition, and the pairwise cosine.  For ``culturestream.network``: each
-scope's statistics by enumerating its members.  Tests compare the production
-code with this one, and take every oracle from here; the tool never calls it.
+For ``culturestream.binning``: each transaction's window from its definition,
+and the rows of ``vectors_P.csv``.  For ``culturestream.facts.fact_measures``:
+every fact gets an r_t for every window, institutionness is an exhaustive
+search over h, and each window's two state costs are evaluated one at a time.
+For ``culturestream.measures``: focus, similarity, reproduction, frequency and
+the AVERAGE rows, each from its definition, and the pairwise cosine.  For
+``culturestream.network``: the arcs, and each scope's statistics by
+enumerating its members.  Tests compare the production code with this one,
+and take every oracle from here; the tool never calls it.
 
 The exhaustive institutionness search, the burst improvements' closed form
 and the dense-to-sparse series helper are defined once, in
@@ -22,6 +24,35 @@ import math
 from culturestream.selftest import brute_force_institutionness, improvement_closed_form, sparse
 
 P1_CLAMP_EPS = 1e-9
+
+
+KIND_FOR_PRACTICE = {"tagging": "hashtag", "retweeting": "retweetee", "mentioning": "mentionee"}
+
+
+def bin_cells(transactions, epoch, width, count):
+    """``bin_transactions``' cells: {(group, window, practice): {fact: count}}.
+
+    A transaction at time t falls in window floor((t - epoch) / width) + 1,
+    clamped to 1..count; one outside [epoch, epoch + count * width) is left out.
+    """
+    cells = {}
+    for t in transactions:
+        if not epoch <= t.timestamp < epoch + count * width:
+            continue
+        window = min(max(math.floor((t.timestamp - epoch) / width) + 1, 1), count)
+        vec = cells.setdefault((t.group, window, t.practice), {})
+        for fact in t.facts:
+            vec[fact] = vec.get(fact, 0) + 1
+    return cells
+
+
+def vector_rows(cells, practice):
+    """``vectors_P.csv`` rows: (group, window, practice, fact_kind, fact, count), sorted."""
+    return [
+        (group, window, practice, KIND_FOR_PRACTICE[practice], fact, n)
+        for (group, window, prac), vec in sorted(cells.items()) if prac == practice
+        for fact, n in sorted(vec.items())
+    ]
 
 
 def log_gamma_costs(r, d):
@@ -188,19 +219,29 @@ def average(series_by_group):
     return rows
 
 
-def network_rows(roster, references, weighted):
-    """``group_stats`` rows as (group, nodes, density, k_out, k_in, w_out, w_in, homophily).
+def graph_arcs(roster, references, weighted):
+    """A practice graph's arcs as {(source, target): weight}.
 
     ``roster`` maps member to group.  ``references`` are (source, target)
     pairs; a self-reference or a pair with an endpoint off the roster is
     dropped, and each other pair adds 1 to its arc's weight (``weighted``) or
-    sets it to 1 (a follow edge).  A scope is a group's active members, or
-    every active member for TOTAL; rows come per group, sorted, then TOTAL.
+    sets it to 1 (a follow edge).
     """
     arcs = {}
     for src, tgt in references:
         if src != tgt and src in roster and tgt in roster:
             arcs[src, tgt] = arcs.get((src, tgt), 0) + 1 if weighted else 1
+    return arcs
+
+
+def network_rows(roster, references, weighted):
+    """``group_stats`` rows as (group, nodes, density, k_out, k_in, w_out, w_in, homophily).
+
+    The graph is ``graph_arcs(roster, references, weighted)``.  A scope is a
+    group's active members, or every active member for TOTAL; rows come per
+    group, sorted, then TOTAL.
+    """
+    arcs = graph_arcs(roster, references, weighted)
     active = sorted({member for arc in arcs for member in arc})
     homophily = {}  # per sender: the share of its out-weight sent to its own group
     for m in active:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -340,6 +342,41 @@ class TestPracticeIsolation:
         for name in manifest["artifacts"]:
             assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
 
+    def test_failing_graph_build_and_measures_report_the_measures(self, demo_run, fixtures_dir,
+                                                                  tmp_path, monkeypatch):
+        build_graph = network.build_graph
+        fact_measures = facts.fact_measures
+
+        def failing_build(transactions, practice, roster):
+            if practice == "mentioning":
+                raise RuntimeError("graph store unavailable")
+            return build_graph(transactions, practice, roster)
+
+        def failing_measures(cells, spec, groups, practice, *args):
+            if practice == "mentioning":
+                raise RuntimeError("fact store unavailable")
+            return fact_measures(cells, spec, groups, practice, *args)
+
+        monkeypatch.setattr(network, "build_graph", failing_build)
+        monkeypatch.setattr(facts, "fact_measures", failing_measures)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(fixtures_dir / "demo.cfg"), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        # The measures fail after the graph build, and the later failure is the one kept.
+        assert manifest["practices"]["mentioning"] == "failed: fact store unavailable"
+
+        clean_out, clean = demo_run
+        missing = {"network_mentioning.csv", "edges_mentioning.csv", "facts_mentioning.csv"}
+        assert manifest["artifacts"] == {
+            name: rows for name, rows in clean["artifacts"].items() if name not in missing
+        }
+        assert len(manifest["artifacts"]) == 22
+        assert manifest["practices"] == dict(clean["practices"],
+                                             mentioning=manifest["practices"]["mentioning"])
+        assert {p.name for p in out.iterdir()} == set(manifest["artifacts"]) | {"manifest.json"}
+        for name in manifest["artifacts"]:
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
+
 
 class TestReleasedTransactions:
     def test_list_is_released_before_the_fact_measures(self, tmp_path, monkeypatch):
@@ -390,6 +427,41 @@ class TestReleasedTransactions:
         assert set(manifest["practices"].values()) == {"ok"}
         assert len(refs) == 2
         assert alive == [0] * len(PRACTICES)
+
+    def test_follow_graph_and_edges_die_once_written(self, fixtures_dir, tmp_path, monkeypatch):
+        class Edges(list):
+            """A list that a weak reference can point at."""
+
+        refs = []
+        load_follow_edges = network.load_follow_edges
+        build_follow_graph = network.build_follow_graph
+
+        def loading(lines):
+            edges, unparseable = load_follow_edges(lines)
+            edges = Edges(edges)
+            refs.append(weakref.ref(edges))
+            return edges, unparseable
+
+        def building(edges, roster):
+            graph, skipped = build_follow_graph(edges, roster)
+            refs.append(weakref.ref(graph))
+            return graph, skipped
+
+        alive = []
+
+        def hashing(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(network, "load_follow_edges", loading)
+        monkeypatch.setattr(network, "build_follow_graph", building)
+        # The run hashes each input file, then the config echo: all after the graph is written.
+        monkeypatch.setattr(pipeline, "hashlib", types.SimpleNamespace(sha256=hashing))
+        values = dict(parse_config_file(fixtures_dir / "demo.cfg"), out=str(tmp_path / "out"))
+        manifest = run_pipeline(build_run_config(values))
+        assert manifest["practices"]["following"] == "ok"
+        assert len(refs) == 2
+        assert alive == [0] * 4
 
 
 class TestByteOrderMark:

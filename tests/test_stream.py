@@ -130,7 +130,7 @@ def test_vectors_csv_deterministic(tmp_path):
     ]
     vectors, _ = bin_transactions(txs, spec)
     path = tmp_path / "vectors.csv"
-    write_vectors_csv(vectors, path)
+    write_vectors_csv(vectors, "tagging", path)
     assert path.read_bytes() == (
         b"group,window,practice,fact_kind,fact,count\r\n"
         b"A,1,tagging,hashtag,a,1\r\n"
