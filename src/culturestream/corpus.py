@@ -56,6 +56,7 @@ _HASHTAG_RE = re.compile(r"#(\w+)")
 # ignores case, so a handle is ASCII here as in _MENTION_RE.
 RT_RE = re.compile(r"\b(?i:RT)\s+@?([A-Za-z0-9_]+):?")
 _MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
+_decode = json.JSONDecoder().raw_decode  # json.loads less its BOM and whitespace checks
 
 
 class Transaction(NamedTuple):
@@ -118,21 +119,24 @@ def extract_facts(
     # Only ASCII letters match the marker's (?i:R) and (?i:T), so a text whose
     # lowercase form lacks "rt" has no marker.
     rt_matches = list(RT_RE.finditer(text)) if "rt" in text.lower() else []
-    retweetees = list(dict.fromkeys(m.group(1).lower() for m in rt_matches))
+    retweetees = list(dict.fromkeys(map(str.lower, [m[1] for m in rt_matches])))
+    mentionees = (list(dict.fromkeys(map(str.lower, _MENTION_RE.findall(text))))
+                  if "@" in text else [])
     # The only "@" inside an RT span precedes that span's own handle, so every
     # mention read there is a retweetee, and dropping retweetees drops it.
-    mentionees = [u for u in dict.fromkeys(u.lower() for u in _MENTION_RE.findall(text))
-                  if u not in retweetees]
-
-    if restrict_to_roster:
+    if retweetees and mentionees:
+        mentionees = [u for u in mentionees if u not in retweetees]
+    if restrict_to_roster and retweetees:
         retweetees = [u for u in retweetees if u in roster]
+    if restrict_to_roster and mentionees:
         mentionees = [u for u in mentionees if u in roster]
 
-    if rt_matches and not include_retweet_hashtags:
+    if "#" not in text:
+        tokens = []
+    elif rt_matches and not include_retweet_hashtags:
         # A hashtag is kept when it starts before the marker ("#RT @a" keeps "rt").
         cutoff = rt_matches[0].start()
-        tokens = [m.group(1) for m in
-                  takewhile(lambda m: m.start() < cutoff, _HASHTAG_RE.finditer(text))]
+        tokens = [m[1] for m in takewhile(lambda m: m.start() < cutoff, _HASHTAG_RE.finditer(text))]
     else:
         tokens = _HASHTAG_RE.findall(text)
     hashtags = [tag for tag in dict.fromkeys(map(fold_hashtag, tokens)) if tag]
@@ -288,7 +292,13 @@ def load_corpus(
         result.records_read += 1
 
         try:
-            rec = json.loads(stripped.decode("utf-8"))
+            doc = stripped.decode("utf-8")
+            if doc.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", doc, 0)
+            rec, stop = _decode(doc, len(doc) - len(doc.lstrip(" \t\n\r")))
+            if stop != len(doc):  # reported after the whitespace that follows the record
+                stop = len(doc) - len(doc[stop:].lstrip(" \t\n\r"))
+                raise json.JSONDecodeError("Extra data", doc, stop)
             if not isinstance(rec, dict):
                 raise ValueError("record is not an object")
             rec_id, user = rec["id"], rec["user"]

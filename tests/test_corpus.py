@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import re
 import sys
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import extract_oracle
+import ingest_oracle
 from culturestream.corpus import (
     MALFORMED_SAMPLE,
     PRACTICES,
@@ -464,6 +466,58 @@ class TestHostileLines:
         result = self._load(["\u3000\n".encode(), b" \t\r\n"], small_roster)
         assert result.records_read == 1
         assert result.skipped["malformed"] == 1
+
+
+def _stamp(seconds, style):
+    iso = datetime.fromtimestamp(seconds, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    return (seconds, str(seconds), iso, iso + "Z", iso + "+00:00")[style]
+
+
+def _dirty(kind, record):
+    """A defective line, built from a valid one where the defect needs it."""
+    return {
+        "extra-word": record + b" x",
+        "extra-object": record + b"\t{}",
+        "bom-then-spaces": b"\xef\xbb\xbf  " + record,
+        "two-boms": b"\xef\xbb\xbf" * 2 + record,
+        "not-utf8": record.replace(b'"', b'"\xff', 1),
+        "array": b"[1]",
+        "ideographic-space": "\u3000".encode(),
+        "deep": b"[" * 100_000,
+    }[kind]
+
+
+# Ids repeat across the two schemas, as ints and strings; "ghost" is off the
+# roster; a timestamp is epoch seconds or ISO, in or outside SPAN.
+_IDS = st.sampled_from([1, 2, "1", "2", "m"])
+_USERS = st.sampled_from(["alice", "@Bob", "carol", "DAVE", "ghost"])
+_STAMPS = st.builds(_stamp, st.integers(-5, int(SPAN[1]) + 5), st.integers(0, 4))
+_RECORDS = st.one_of(
+    st.builds(_raw, _IDS, _USERS, _STAMPS, _TEXTS),
+    st.builds(_pre, _IDS, _USERS, _STAMPS, st.sampled_from([*PRACTICES, "following"]),
+              st.lists(_TOKENS, max_size=4)),
+)
+_DIRT = st.builds(_dirty, st.sampled_from(["extra-word", "extra-object", "bom-then-spaces",
+                                           "two-boms", "not-utf8", "array",
+                                           "ideographic-space", "deep"]), _RECORDS)
+
+
+class TestReferenceIngest:
+    """load_corpus gives what the straightforward json.loads loop gives, reasons included."""
+
+    @given(st.lists(st.one_of(_RECORDS, _DIRT), max_size=12))
+    @example([_raw(1, "alice", 1, "#x") + b"\t{}", _raw(2, "bob", 2, "#y") + b" x"])
+    @example([b"\xef\xbb\xbf" * 2 + _raw(1, "alice", 1, "#x")])
+    def test_matches_reference_under_every_flag_combination(self, lines):
+        roster = {"alice": "A", "bob": "A", "carol": "B", "dave": "B"}
+        for restrict in (True, False):
+            for retweet_hashtags in (True, False):
+                got = load_corpus(lines, roster, SPAN, restrict, retweet_hashtags)
+                want = ingest_oracle.load_corpus(lines, roster, SPAN, restrict, retweet_hashtags)
+                assert (got.records_read, got.skipped, got.malformed_lines) == (
+                    want.records_read, want.skipped, want.malformed_lines
+                ), (restrict, retweet_hashtags)
+                assert got.transactions == want.transactions, (restrict, retweet_hashtags)
 
 
 _ANY_TEXT = st.text(st.characters(exclude_categories=()))  # control chars, lone surrogates
