@@ -12,9 +12,8 @@ byte.  Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import random
 from pathlib import Path
-
-import numpy as np
 
 from culturestream.corpus import write_transactions_jsonl
 from culturestream.synth import (
@@ -47,7 +46,7 @@ def make_stream_config() -> SynthConfig:
 
 def make_follow_edges(roster: dict[str, str], per_member: int = 6, hom: float = 0.7):
     """Deterministic follow edges, each target drawn as the stream draws one."""
-    rng = np.random.default_rng(FOLLOW_SEED)
+    rng = random.Random(FOLLOW_SEED)
     members = list(roster)
     index_of = {m: i for i, m in enumerate(members)}
     edges = []

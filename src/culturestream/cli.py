@@ -107,7 +107,7 @@ def _parse_injection(text: str):
 
 def _cmd_synth(args) -> int:
     from dataclasses import fields
-    # synth and selftest need numpy, whose import costs every run about 90 ms.
+    # synth and selftest are imported by their own commands only, not at start-up.
     from . import synth
     given = {f.name: getattr(args, f.name) for f in fields(synth.SynthConfig) if f.name in args}
     try:

@@ -22,15 +22,17 @@ and the founding-era volatility of a cold urn disappears.
 Activity is Poisson per member, window, and practice.  The output is a
 regular Transaction stream plus a roster, both writable in the formats the
 ingest layer consumes.
+
+Every draw is a ``random.Random(seed).random()`` call, a sequence Python keeps
+across versions, so a seed gives the same bytes under every interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .binning import DEFAULT_WIDTH, WindowSpec
 from .corpus import PRACTICES, Transaction, normalize_handle, parse_timestamp, write_csv
@@ -113,7 +115,7 @@ class _FactUrn:
     mass (multiplier - 1) * count.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: random.Random):
         self.rng = rng
         self.tokens: list[str] = []
         self.counts: dict[str, int] = {}
@@ -155,7 +157,7 @@ class _FactUrn:
 
 def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
     """Deterministic synthetic stream for the configured mechanisms."""
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     roster = config.roster()
     members = list(roster)
     index_of = {m: i for i, m in enumerate(members)}
@@ -179,7 +181,7 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
         window_start = config.epoch + (window - 1) * config.width
         for member in members:
             for practice in config.practices:
-                for _ in range(rng.poisson(config.rate)):
+                for _ in range(poisson(rng, config.rate)):
                     if practice == "tagging":
                         fact = urn.draw(config.alpha, boosts)
                     else:
@@ -200,6 +202,27 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
                         )
                     )
     return transactions, roster
+
+
+POISSON_PART = 500.0  # exp(-500) is about 7e-218, far from underflow
+
+
+def poisson(rng: random.Random, rate: float) -> int:
+    """A Poisson(rate) count: the sum of one count per equal part of at most
+    POISSON_PART, each drawn by inversion from one uniform."""
+    parts = math.ceil(rate / POISSON_PART)
+    total = 0
+    for _ in range(parts):
+        part, u, k = rate / parts, rng.random(), 0
+        term = cdf = math.exp(-part)
+        while cdf < u:
+            k += 1
+            term *= part / k
+            if cdf + term == cdf:  # the sum stopped short of u (at rate 4: 1 - 3 * 2**-53)
+                break
+            cdf += term
+        total += k
+    return total
 
 
 def draw_target(rng, member, members, index_of, own_group, hom) -> Optional[str]:

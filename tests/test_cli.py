@@ -340,3 +340,28 @@ def test_run_commands_import_neither_numpy_nor_synth_nor_selftest(command, fixtu
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--out", "synth"],
+    ["selftest"],
+    [str(Path(__file__).resolve().parent.parent / "scripts" / "make_demo_fixture.py"),
+     "--out-dir", "fixture"],
+], ids=["synth", "selftest", "make_demo_fixture"])
+def test_generators_run_without_numpy(args, tmp_path):
+    src = str(Path(culturestream.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "if sys.argv[1].endswith('.py'):\n"
+        "    sys.argv = sys.argv[1:]\n"
+        "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "from culturestream.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, *args], cwd=tmp_path,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.returncode == 0, result.stderr

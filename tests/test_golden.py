@@ -22,57 +22,57 @@ from culturestream.cli import main
 
 DEMO_DIGESTS = {
     "edges_following.csv":
-        "48a01f279afa74b0a48ab9fa5d83a43ce5bdedffde9710a1d275db18ccb8632c",
+        "44b316bb9a0e70ba96ea1bd2fa1d9d99d3a5adb248c055c9d4ef8f8291ea5ca8",
     "edges_mentioning.csv":
-        "e95dc28d0639c993c1a991c364b347c90af578d5b136e5868d2f9a645b877cad",
+        "ed0cd08129ca2577c5d2bddbfb803d8ad3362457f022d91a19dd0b7101341f71",
     "edges_retweeting.csv":
-        "b386e32ed13ac5d15cb029d8ee5e2a7ebf13feec78e61512386b9e7b108b1b7c",
+        "473de9146a033ea283879ce1c6e9ddfb02abed2c6e593e70755e6da46f40ac61",
     "facts_mentioning.csv":
-        "d7a4e88e16bb70daa592512114aca3be981502eb0f187d0ee54c432ffe5cc1af",
+        "64f368913c2349e32cddf9af1e199915769484a833a20c658cc8fdb18fa59b12",
     "facts_retweeting.csv":
-        "ce6b3e433fa44f1809a9f30592d82a3b7b811dfc42073e9d46e9c100d3c1288f",
+        "5f5e37383efe7fd24a55604d55903674ca33f6226e9a4bf0985e76987b0a42d1",
     "facts_tagging.csv":
-        "c83ef11db5e8194954df58a17cd66feacb3ee4f97b02d96a2ac9800fd1767bb8",
+        "8e9af9025b8228a5e14f88e1e9c26d103e79fcd12a0e75a1cc7e4bd5aab0bc5c",
     "focus_mentioning.csv":
-        "9fcbc83cd54f20194d301ec1852691bafc0936310dfe02763a51a218f46374ed",
+        "99bb606bb70b552c98ef6918aedf7d1f67c4be275953328c58f31e58c24ca230",
     "focus_retweeting.csv":
-        "56a38431946f75f1eaa875bd7f664a12814567586844519172128cffb6c6bc80",
+        "13da5b80443111344c79d229643afe14948586c706714e3222803ea4d327e869",
     "focus_tagging.csv":
-        "1c6edc55fd43c12cb87f5297aa52570201f92139f6b740fae278a94d320af909",
+        "e2c5c632ba192d758f0b9991efc523b82ed581c06782cca2fef80d087d407f39",
     "frequency_mentioning.csv":
-        "708882bebdd60303ab500f6bb0c03bf9c6c40cc7ab6a002b93808c0666d34988",
+        "54e92eebeced9a0e8e5f022a1af7b3933c8c8a090ff69fa064dcba0e5c6fadd1",
     "frequency_retweeting.csv":
-        "9c05e09b528cc83122b40f3aabe758a9aa25ccea1780b491f8f2283e55bf70f5",
+        "b13adbddcf0f4a2662319a9103915c5337c32750d9d8d9afb5fe70015949c6f3",
     "frequency_tagging.csv":
-        "f711469d6d4a83a1e397ae16112c06f1830655a2efd0548ee7a1974e8189d5a8",
+        "3ae72ef5e9615ea0e1122052f5b3d3a238323e8a6de0e517d2b05624c98ee53c",
     "ingest_report.csv":
         "de96da6900e29f2212ff895de0c674f24a1e9c4caea3d0dbfd9684e9a6d5a3b6",
     "manifest.json":
-        "672d8f291b01e75f1f3b3e79dc0a256c0c40100cb20958928b037b55e35b9bc4",
+        "23bcd1dd43d7f8d4fd7d6db55f18e3ebc2f0a9a3b40235f22952fabe4fc67b52",
     "network_following.csv":
-        "d867a63863bacc1c369143761a6a1bd39a873ed143e03d16f315830dc51d7fd3",
+        "864549c8d1aa7b282e03397fdb3a3678f3bd7745c8afc31ce8e23685b5ce31b5",
     "network_mentioning.csv":
-        "beb4e3acfa906a58b8b5f6ca6b1834175ffad8fe8036838610a1182d0e1db6c0",
+        "0fdb11f6c159db182ccf75574e6a2a647cd62d0bff6cc1491a03af8c06d32c59",
     "network_retweeting.csv":
-        "9b8988ffb06c54c48ad4a7d9c3d117c5b78415f83a5b4a2a79eb59b66121b128",
+        "bab8dbdbaeb85b068415cb97684e43314f26d5080d743b5f1c792aee11676786",
     "reproduction_mentioning.csv":
-        "71c0a71e2e7a50e1c890da0658a3d46629b87cd1d67c59b809a5bc254513cdfc",
+        "70d5f623679a39f8591ebe5fc7b5999a57bff27644d8fdec2c3780a0bd6c7f3d",
     "reproduction_retweeting.csv":
-        "68899cc12640d4b954829fa1c2d2cde3f6217253d45e9af3f0fe1338ada790c0",
+        "1fcd6cae311ed7f0d42fd84e549ac0055c2b88942b5c6e81b487d38e1f251246",
     "reproduction_tagging.csv":
-        "ce5edbc8be18a051f9f0dbfbe40e620e426dfc9029d68e97652f73757f3da4bd",
+        "cdc33dfc8218943e4981bc75fe8c9506fc1e82e6ca0ef49e77a6ef5eed152ba3",
     "similarity_mentioning.csv":
-        "5cd7276d07ded5b3024b6ef1346bc91f6f65a87f8eb898954685a24f0a07eeda",
+        "ea8a043dcd01a073f316d3541cc6d8c628ea6a85ba25b3b439d6248622ad4b7e",
     "similarity_retweeting.csv":
-        "736dd056ee40ff099a038061e49b6bb35bc41010a841b330b85dc4d55cc0b4f9",
+        "945a01de03dcb29afeacebd79f6c0bee32980c40b0dfb3f0bc05378b579c830d",
     "similarity_tagging.csv":
-        "379792f478626952a6290da903a678acf1900b355ec465b995ea4540a988a35c",
+        "0429d5dd97e419d3aa0eec904e1c4a9d6c391b7a602427754ff82f9a3aa273bf",
     "vectors_mentioning.csv":
-        "9da4cc43639b63c4ec6da290e0da62a0c5ee316282a4cfb4368b4bedee87cdd3",
+        "6e755d2ec3e742cdfe86cb8923b708b69a7ba1f5ebb762a6b1b61b1b7856e0d6",
     "vectors_retweeting.csv":
-        "2f3151f4d7f293cf533ac3c14010320ed8cbfb8b6e723f96710009a6c1c570c2",
+        "505e258208adf0d10c55adc76c8b2531c1d212d7f9e8a07f188769a54203829b",
     "vectors_tagging.csv":
-        "5019cd06cb040651e5d8360bec34ef27e3e3c5e8f3fe6087f51eee2a6c181680",
+        "65f66d21abde5cddb47157b1001ab3807b1c97c8a591b42fe425a501c42118e4",
 }
 
 RAW_DIGESTS = {
@@ -123,59 +123,59 @@ RAW_INGEST_DIGESTS = {
 
 SYNTH_DIGESTS = {
     "edges_mentioning.csv":
-        "d5bf0458e51111b00caca2452ee4e3021ec0aa71f22a69cab402b0c82a9ada4a",
+        "963fe6e377a508b2492e0f605d4d4ce6f44f09ad635fba4b6af25480440a3ab8",
     "edges_retweeting.csv":
-        "ceb4f87fa4699b77fe8787d47fc1420321d7c5ff5451f1af8e1a6d2d1347a84b",
+        "5c340c3602d77f17bb85c35608c992413f1d7b84d281cf841edfdaedb7315ec6",
     "facts_mentioning.csv":
-        "3cdbf4ad437c64248efac212bf616c98cea848520ff07d3fc471a8a92f464a64",
+        "b8413a84d704214dc0973d20d244545d032ea6e1bc3ddeafcac7fea20761b1f1",
     "facts_retweeting.csv":
-        "b816047786c739ded9066b9329751128f6e20e35d813afc35d0d11bf39fbbb78",
+        "4cfc280fe4d4579bbb21a92f63e7cb89e5635dafe8e99fc1b55dad434bb093a4",
     "facts_tagging.csv":
-        "6cc55ecfa9c93e9f9444668ebc3c8a1e88725cf3da46e3a29318c7cdd6a229c7",
+        "f7d059fa0e38f46bc9ffb6b61f9166b60e48782360cd3515412db426aa34f35b",
     "focus_mentioning.csv":
-        "e62bf3a7ddfc8bf2d24394468bd5d84106c5407bba5da6e796158a6df30e263a",
+        "6af6fc88cc3884b477697ee0a2578b795f601277a045a27bcc65bd1ed3662d31",
     "focus_retweeting.csv":
-        "df7cfe58122e7e5f4e1fd382632f2005120894747531c9df62e0a71144234b3d",
+        "2b54b438396332f5893197acdec3f8c890afc2678681d7016b828e8080f6c9cd",
     "focus_tagging.csv":
-        "b86f94a89c4fa027c92690a88e7fd3fdd1510401f82cca3be7667643afabbacf",
+        "4ee3bd9fc95b54906282330ef2d1068b1191c71237b4e401e90f7a5036bd3fad",
     "frequency_mentioning.csv":
-        "23576e6456493651273c7e641d2fd645b34ca8f6edc20d364e9c3439c58940b7",
+        "e24a91c2c18ba58cad493fba64b924f1dd0954e42081c5808d611c283757c29a",
     "frequency_retweeting.csv":
-        "d6b846eb20fb84787dd914f8aab3ff426610189cfb2cd7208b4796b6416ac3e2",
+        "555f0c80e9eb0d7b5d8387da9b4612eb9d8f328c8c803288d5175c27e7f12126",
     "frequency_tagging.csv":
-        "ed95ad787945be8137d01ca73f956c533253a0eb3612fc485e4ac7618df7a33e",
+        "b65d16bfeb5929c7cd2bea7b9dbd726aec0f73c0a3cb6462cef7bcd90d44a5e8",
     "ingest_report.csv":
         "de96da6900e29f2212ff895de0c674f24a1e9c4caea3d0dbfd9684e9a6d5a3b6",
     "manifest.json":
-        "da03c50f24d702f059cd4c5bcf200de3307aabf1a773746d1d45f234dfab3ce0",
+        "2bf3a7209c23ea00be2e83c3f7d57f486c964c5908973ece1d97c74e82b95d2b",
     "network_mentioning.csv":
-        "ee45e347b2ddf3f752ab9ea89bab92ba1a76c1e623671c88798ce55f545b7ab5",
+        "996159e4f2f42c4b51cce41f31ab29543ef1816e80410424e869ebbaddbaba17",
     "network_retweeting.csv":
-        "9169160d17c39d3170651d007a01dde06decb786fd7b86ee30e0067564607ab4",
+        "f4a84206496dd69c547781a2001d4b0fca2df2551d57ffdc0c3a862c858a8c03",
     "reproduction_mentioning.csv":
-        "6a4d627630af02010d66011a6cbac81415afd4b09853212c4f5931346b5520ce",
+        "0fdd095ab45994309da09b80d3f4379eb0b72e238b1a8953ec58aa3fa3df7cb6",
     "reproduction_retweeting.csv":
-        "8e3789a27df8578e59756ebf460b211093302169c8d3bd3687c629e9d93ba279",
+        "339469f7339d85f01cf19c4f68ff46fabada2e352bd803422e1a6f63f8e700f0",
     "reproduction_tagging.csv":
-        "6d2e67df19b0fe6180446a593545ce4204d5ffeb9fa41fee3a4de71fb1eaa4e2",
+        "11ba438b0eaaf021db3bd4b0546d779fec547a9d19652f6a757edfc981f96926",
     "similarity_mentioning.csv":
-        "170920647eba37a3e8edadb06d43c75b2b4f879a3ccf3969109df297e93066d1",
+        "e4bebab141742ae23dd08ff07e79e8da0a5d7cc26c6410bc695fe9e7c9094b3b",
     "similarity_retweeting.csv":
-        "54e029c11b8103bfdd2b0ac328934bc3fe4dcecfe62f983d1721557d7edaeab0",
+        "3de1d9e8069a060ae3866ab0261e951815b9c221bbc9850655c2ac419ff9298a",
     "similarity_tagging.csv":
-        "aae7d7b83ed8a5f004a3aa777492f5e6033436ac1677fa4f88457d132411110c",
+        "8df90564915f9f65ca55ca2b86449bfd41e2fe25d4ce0779c722376ea316552b",
     "vectors_mentioning.csv":
-        "ac5aaad1a6e6b45d00bbece818cbfea4fb31e11d1634ee998098e68b6094a1bd",
+        "c2e84b2848b57fafd780a5a091b3dc94415526cad4ca3caca41713ba6a7beadf",
     "vectors_retweeting.csv":
-        "902df0a13eea0f1a3235409c714aaa697b311769ef729a378a974293c0644214",
+        "96f8f0b36d60e6f68fd12733fbbb634deb9443ce194eaceff6afaf2bc4b96d11",
     "vectors_tagging.csv":
-        "1fe6cf1a70cfe7f7b0362fb18bc015459cec75ebb7bbd3cd520d3505970c9ff8",
+        "c118c96ca53e6328b8abaef9c129a731be1ff10b264f5c031b96c03f8c79a6ba",
 }
 
 # synth with every setting at its default.
 SYNTH_DEFAULT_DIGESTS = {
     "corpus.jsonl":
-        "7d3eca65f56ae93c2a592d883bd9bcc03735b18b5acdc1ef4b0a711434f95acd",
+        "99e500b236fd54a29a0919cd9d2e38d963a658e76c4e2c841d81ab3840d91890",
     "roster.csv":
         "ecab90c437cd755ce5bad2ad5f561df0b52d94783a01d0bcb41bc3022e48d97a",
 }

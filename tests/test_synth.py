@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from culturestream.binning import WindowSpec, bin_transactions
 from culturestream.corpus import load_corpus, load_roster, write_transactions_jsonl
 from culturestream.network import TOTAL, build_graph, group_stats
 from culturestream.synth import (
+    POISSON_PART,
     BurstInjection,
     SynthConfig,
     generate,
+    poisson,
     write_roster_csv,
 )
 from stream_contract import validate_transactions
@@ -88,6 +93,41 @@ class TestDeterminism:
         t1, _ = generate(_config(seed=1))
         t2, _ = generate(_config(seed=2))
         assert t1 != t2
+
+
+class TestPoisson:
+    @pytest.mark.parametrize("rate", [0.3, 4.0, 25.0])
+    def test_mean_and_variance(self, rate):
+        n = 20_000
+        rng = random.Random(11)
+        draws = [poisson(rng, rate) for _ in range(n)]
+        mean = sum(draws) / n
+        variance = sum((x - mean) ** 2 for x in draws) / (n - 1)
+        # five standard errors of each estimate; a Poisson count has mean and
+        # variance equal to its rate, and fourth central moment rate * (1 + 3 * rate)
+        assert abs(mean - rate) < 5 * math.sqrt(rate / n)
+        assert abs(variance - rate) < 5 * math.sqrt((rate + 2 * rate * rate) / n)
+
+    def test_rate_above_the_split_has_the_right_mean(self):
+        rate, windows = 1200.0, 20
+        assert rate > POISSON_PART
+        config = _config(groups=[("A", 1)], windows=windows, rate=rate, practices=("tagging",))
+        txs, _ = generate(config)
+        # one member and one practice: one count per window
+        assert abs(len(txs) / windows - rate) < 5 * math.sqrt(rate / windows)
+
+    def test_largest_uniform_ends_the_draw(self):
+        # at rate 4 the summed probabilities stop at 1 - 3 * 2**-53, below the
+        # largest value random() returns
+        class Top:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        assert 4 < poisson(Top(), 4.0) < 50
+
+    def test_zero_rate_gives_an_empty_stream(self):
+        assert poisson(random.Random(0), 0.0) == 0
+        assert generate(_config(rate=0.0)) == ([], _config().roster())
 
 
 class TestMechanisms:
