@@ -37,9 +37,9 @@ def classify(seed: int, rate: float, multiplier: float) -> str:
         warmup_tokens=40,
         practices=("tagging",),
     )
-    transactions, _ = generate(config)
+    transactions, roster = generate(config)
     spec = WindowSpec(epoch=config.epoch, count=config.windows, width=config.width)
-    vectors, _ = bin_transactions(transactions, spec)
+    vectors, _ = bin_transactions(transactions, spec, roster)
     rows = fact_measures(vectors, spec, [g for g, _ in GROUPS], "tagging")
     for group, _ in GROUPS:
         episodes = [

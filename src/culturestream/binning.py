@@ -49,13 +49,13 @@ class WindowSpec:
 CultureVector = dict[str, int]
 
 
-def bin_transactions(
-    transactions: Iterable[Transaction], spec: WindowSpec
-) -> tuple[dict[VectorKey, CultureVector], int]:
-    """Fold a transaction stream into culture vectors.
+def bin_transactions(transactions: Iterable[Transaction], spec: WindowSpec,
+                     roster: dict[str, str]) -> tuple[dict[VectorKey, CultureVector], int]:
+    """Fold a transaction stream into culture vectors, under each author's roster group.
 
-    Returns (vectors keyed by (group, window, practice), dropped count) where
-    dropped counts transactions outside the observation grid.
+    Returns (vectors keyed by (group, window, practice), dropped count), dropped
+    counting transactions off the grid.  Every author on the grid must be in the
+    roster, as ``load_corpus`` and ``synth`` ensure; any other raises KeyError.
     """
     vectors: dict[VectorKey, CultureVector] = {}
     dropped = 0
@@ -64,7 +64,7 @@ def bin_transactions(
         if window is None:
             dropped += 1
             continue
-        key = (t.group, window, t.practice)
+        key = (roster[t.author], window, t.practice)
         vec = vectors.get(key)
         if vec is None:
             vec = vectors[key] = {}

@@ -68,7 +68,6 @@ class Transaction(NamedTuple):
 
     id: str
     author: str
-    group: str
     timestamp: float
     practice: str
     facts: tuple[str, ...]
@@ -331,8 +330,7 @@ def load_corpus(
             continue
         seen_bits[rec_id] = seen | bit
 
-        group = roster.get(author)
-        if group is None:
+        if author not in roster:
             result.skipped["unknown_author"] += 1
             continue
         if not (start <= ts < end):
@@ -363,7 +361,7 @@ def load_corpus(
         emitted = False
         for practice, keys in keys_by_practice.items():
             if keys:
-                emit(Transaction(rec_id, author, group, ts, practice,
+                emit(Transaction(rec_id, author, ts, practice,
                                  tuple(map(share, keys, keys))))
                 emitted = True
         if not emitted:

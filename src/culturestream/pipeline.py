@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -131,7 +130,7 @@ class RunConfig:
         options=_BOOL_FLAG, default=True,
     )
 
-    def validate(self) -> None:
+    def validate(self) -> binning.WindowSpec:
         if not Path(self.corpus).is_file():
             raise ConfigError(f"corpus not found: {self.corpus}")
         if not Path(self.roster).is_file():
@@ -140,8 +139,10 @@ class RunConfig:
             raise ConfigError(f"follow edge list not found: {self.follow_edges}")
         if self.count < 2:
             raise ConfigError("need at least 2 windows for reproduction series")
-        if not (self.width > 0 and math.isfinite(self.width)):
-            raise ConfigError("window width must be positive and finite")
+        try:
+            spec = binning.WindowSpec(self.epoch, self.count, self.width)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not (0.0 <= self.rbo_p < 1.0):
             raise ConfigError("rbo persistence must be in [0, 1)")
         if self.inst_variant not in facts.INSTITUTIONNESS_VARIANTS:
@@ -154,6 +155,7 @@ class RunConfig:
         for window, _ in self.markers:
             if not (1 <= window <= self.count):
                 raise ConfigError(f"marker window {window} outside 1..{self.count}")
+        return spec
 
 
 SETTINGS = fields(RunConfig)
@@ -240,8 +242,7 @@ def _load(config: RunConfig, sink=None):
     are kept inside the window grid's span.  Returns (window grid, roster,
     ingest result, output directory).
     """
-    config.validate()
-    spec = binning.WindowSpec(epoch=config.epoch, count=config.count, width=config.width)
+    spec = config.validate()
     try:
         with open(config.roster, encoding="utf-8-sig") as fh:
             roster = load_roster(fh)
@@ -299,7 +300,7 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
 
     if not ingest.transactions:
         logger.warning("corpus produced no transactions; artifacts will be header-only")
-    vectors, dropped = binning.bin_transactions(ingest.transactions, spec)
+    vectors, dropped = binning.bin_transactions(ingest.transactions, spec, roster)
     # Each user graph is written once built; a failed build fails its practice at once.
     for practice in config.practices if "network" in stages else ():
         if practice in USER_PRACTICES:

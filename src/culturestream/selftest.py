@@ -301,8 +301,8 @@ def check_window_binning_half_open() -> None:
 
 def check_absent_group_week_has_no_vector() -> None:
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
-    t = Transaction("x1", "u", "G", 3.0, "tagging", ("a",))
-    vectors, dropped = bin_transactions([t], spec)
+    t = Transaction("x1", "u", 3.0, "tagging", ("a",))
+    vectors, dropped = bin_transactions([t], spec, {"u": "G"})
     assert dropped == 0
     assert ("G", 1, "tagging") in vectors
     assert ("G", 2, "tagging") not in vectors

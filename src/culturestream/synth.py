@@ -195,7 +195,6 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
                         Transaction(
                             id=f"s{serial:07d}",
                             author=member,
-                            group=roster[member],
                             timestamp=window_start + rng.random() * config.width,
                             practice=practice,
                             facts=(fact,),

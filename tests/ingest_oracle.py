@@ -92,8 +92,7 @@ def load_corpus(lines, roster, window, restrict_to_roster=True, include_retweet_
                 continue
             slots.add(RAW)
 
-        group = roster.get(author)
-        if group is None:
+        if author not in roster:
             result.skipped["unknown_author"] += 1
             continue
         if not start <= ts < end:
@@ -114,7 +113,7 @@ def load_corpus(lines, roster, window, restrict_to_roster=True, include_retweet_
             keys_by_practice = extract_oracle.extract_facts(
                 text, roster, restrict_to_roster, include_retweet_hashtags)
 
-        emitted = [Transaction(rec_id, author, group, ts, practice, tuple(keys))
+        emitted = [Transaction(rec_id, author, ts, practice, tuple(keys))
                    for practice, keys in keys_by_practice.items() if keys]
         if emitted:
             result.transactions.extend(emitted)

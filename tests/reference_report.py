@@ -29,18 +29,19 @@ P1_CLAMP_EPS = 1e-9
 KIND_FOR_PRACTICE = {"tagging": "hashtag", "retweeting": "retweetee", "mentioning": "mentionee"}
 
 
-def bin_cells(transactions, epoch, width, count):
+def bin_cells(transactions, epoch, width, count, roster):
     """``bin_transactions``' cells: {(group, window, practice): {fact: count}}.
 
     A transaction at time t falls in window floor((t - epoch) / width) + 1,
-    clamped to 1..count; one outside [epoch, epoch + count * width) is left out.
+    clamped to 1..count, under its author's roster group; one outside
+    [epoch, epoch + count * width) is left out.
     """
     cells = {}
     for t in transactions:
         if not epoch <= t.timestamp < epoch + count * width:
             continue
         window = min(max(math.floor((t.timestamp - epoch) / width) + 1, 1), count)
-        vec = cells.setdefault((t.group, window, t.practice), {})
+        vec = cells.setdefault((roster[t.author], window, t.practice), {})
         for fact in t.facts:
             vec[fact] = vec.get(fact, 0) + 1
     return cells

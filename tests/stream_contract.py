@@ -29,8 +29,8 @@ def validate_transactions(
         where = f"transaction {t.id}/{t.practice}"
         if not t.facts:
             violations.append(f"{where}: empty facts")
-        if roster.get(t.author) != t.group:
-            violations.append(f"{where}: author/group not in roster")
+        if t.author not in roster:
+            violations.append(f"{where}: author not in roster")
         if not (start <= t.timestamp < end):
             violations.append(f"{where}: timestamp outside window")
         if t.practice not in PRACTICES:

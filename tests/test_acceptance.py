@@ -135,8 +135,8 @@ def test_injected_burst_recovered_across_seeds():
             warmup_tokens=40,
             practices=("tagging",),
         )
-        transactions, _ = generate(config)
-        vectors, _ = bin_transactions(transactions, spec)
+        transactions, roster = generate(config)
+        vectors, _ = bin_transactions(transactions, spec, roster)
         ok = True
         for group in ("A", "B"):
             rows = fact_measures(vectors, spec, [group], "tagging")
@@ -210,7 +210,7 @@ def test_reference_conservation_on_bundled_fixture(fixtures_dir):
         ingest = load_corpus(fh, roster, span)
     spec = WindowSpec(epoch=span[0], count=13)
 
-    vectors, dropped = bin_transactions(ingest.transactions, spec)
+    vectors, dropped = bin_transactions(ingest.transactions, spec, roster)
     emitted_pairs = sum(
         len(t.facts) for t in ingest.transactions if spec.index_of(t.timestamp) is not None
     )

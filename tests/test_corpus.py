@@ -228,7 +228,7 @@ class TestLoadCorpus:
             "retweeting",
             "mentioning",
         }
-        assert all(t.id == "r1" and t.group == "A" for t in result.transactions)
+        assert all(t.id == "r1" and t.author == "alice" for t in result.transactions)
 
     def test_skip_reasons(self, small_roster):
         lines = [
@@ -319,8 +319,7 @@ class TestLoadCorpus:
         "bad,message",
         [
             (dict(facts=()), "empty facts"),
-            (dict(author="mallory"), "author/group not in roster"),
-            (dict(group="B"), "author/group not in roster"),
+            (dict(author="mallory"), "author not in roster"),
             (dict(timestamp=SPAN[1]), "timestamp outside window"),
             (dict(practice="following"), "unknown practice"),
             (dict(facts=("#wahl",)), "unnormalized fact key '#wahl'"),
@@ -328,19 +327,19 @@ class TestLoadCorpus:
             (dict(facts=("",)), "unnormalized fact key ''"),
             (dict(facts=("wahl", "wahl")), "duplicate facts within transaction"),
         ],
-        ids=["empty-facts", "author-off-roster", "group-off-roster", "outside-window",
+        ids=["empty-facts", "author-off-roster", "outside-window",
              "unknown-practice", "hash-prefix", "upper-case", "empty-key", "duplicate-fact"],
     )
     def test_contract_names_each_broken_rule(self, small_roster, bad, message):
-        fields = dict(id="t1", author="alice", group="A", timestamp=10.0,
+        fields = dict(id="t1", author="alice", timestamp=10.0,
                       practice="tagging", facts=("wahl",))
         fields.update(bad)
         [violation] = validate_transactions([Transaction(**fields)], small_roster, SPAN)
         assert violation == f"transaction t1/{fields['practice']}: {message}"
 
     def test_contract_flags_retweetee_also_mentioned(self, small_roster):
-        stream = [Transaction("t1", "alice", "A", 10.0, "retweeting", ("carol",)),
-                  Transaction("t1", "alice", "A", 10.0, "mentioning", ("carol", "dave"))]
+        stream = [Transaction("t1", "alice", 10.0, "retweeting", ("carol",)),
+                  Transaction("t1", "alice", 10.0, "mentioning", ("carol", "dave"))]
         assert validate_transactions(stream, small_roster, SPAN) == [
             "record t1: ['carol'] counted as both retweetee and mentionee"
         ]
@@ -526,7 +525,7 @@ _ANY_TEXT = st.text(st.characters(exclude_categories=()))  # control chars, lone
 @given(_ANY_TEXT, _ANY_TEXT, st.floats(allow_nan=False, allow_infinity=False),
        st.one_of(st.sampled_from(PRACTICES), _ANY_TEXT), st.lists(_ANY_TEXT, max_size=4))
 def test_transaction_line_is_sorted_key_json(rec_id, author, timestamp, practice, facts):
-    t = Transaction(rec_id, author, "G", timestamp, practice, tuple(facts))
+    t = Transaction(rec_id, author, timestamp, practice, tuple(facts))
     record = {"id": rec_id, "user": author, "timestamp": timestamp, "practice": practice,
               "facts": facts}
     assert transaction_line(t) == json.dumps(record, sort_keys=True)

@@ -31,9 +31,9 @@ def _response(alpha: float, seed: int) -> dict[str, float]:
     """Mean of each AVERAGE series, and the highest institutionness, for one stream."""
     config = SynthConfig(groups=GROUPS, windows=WINDOWS, rate=4.0, alpha=alpha, hom=0.5,
                          seed=seed, practices=("tagging",))
-    transactions, _ = generate(config)
+    transactions, roster = generate(config)
     spec = WindowSpec(config.epoch, WINDOWS, config.width)
-    vectors, dropped = bin_transactions(transactions, spec)
+    vectors, dropped = bin_transactions(transactions, spec, roster)
     assert dropped == 0
     groups = [g for g, _ in GROUPS]
     out = {}

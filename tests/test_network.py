@@ -23,10 +23,7 @@ ROSTER = {"alice": "A", "bob": "A", "carol": "B", "dave": "B"}
 
 
 def _rt(tid, author, targets):
-    return Transaction(
-        tid, author, ROSTER[author], 1.0, "retweeting",
-        tuple(targets),
-    )
+    return Transaction(tid, author, 1.0, "retweeting", tuple(targets))
 
 
 class TestBuildGraph:
@@ -37,15 +34,14 @@ class TestBuildGraph:
 
     def test_self_references_and_strangers_dropped(self):
         txs = [_rt("1", "alice", ["alice"]),
-               Transaction("2", "alice", "A", 1.0, "retweeting",
-                           ("mallory",))]
+               Transaction("2", "alice", 1.0, "retweeting", ("mallory",))]
         graph = build_graph(txs, "retweeting", ROSTER)
         assert graph.arcs == {}
 
     def test_other_practices_and_kinds_ignored(self):
         txs = [
-            Transaction("1", "alice", "A", 1.0, "tagging", ("bob",)),
-            Transaction("2", "alice", "A", 1.0, "mentioning", ("bob",)),
+            Transaction("1", "alice", 1.0, "tagging", ("bob",)),
+            Transaction("2", "alice", 1.0, "mentioning", ("bob",)),
         ]
         graph = build_graph(txs, "retweeting", ROSTER)
         assert graph.arcs == {}
@@ -57,7 +53,7 @@ class TestBuildGraph:
             build_graph([], "tagging", ROSTER)
 
     def test_following_is_not_folded_from_the_stream(self):
-        follow = Transaction("1", "alice", "A", 1.0, "following", ("bob",))
+        follow = Transaction("1", "alice", 1.0, "following", ("bob",))
         with pytest.raises(ValueError, match="following"):
             build_graph([follow], "following", ROSTER)
 
@@ -190,7 +186,7 @@ def _assert_rows_equal_reference(graph, roster, references, weighted):
 def test_group_stats_equal_member_enumeration(roster, messages, edges):
     """Every stats row of the user graphs and the follow graph equals the reference's."""
     transactions = [
-        Transaction(str(i), author, roster[author], 1.0, practice, tuple(targets))
+        Transaction(str(i), author, 1.0, practice, tuple(targets))
         for i, (author, practice, targets) in enumerate(messages)
         if author in roster  # ingest emits only roster authors
     ]

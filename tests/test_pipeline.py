@@ -678,7 +678,7 @@ class TestStreamedIngest:
 
         def failing_load(lines, roster, window, *args, sink, **kwargs):
             for n in range(3):
-                sink.append(Transaction(f"m{n}", "a000", "A", 1.0, "tagging", ("x",)))
+                sink.append(Transaction(f"m{n}", "a000", 1.0, "tagging", ("x",)))
             assert len(list(scratch.iterdir())) == 1  # the stream goes to a temporary file
             raise OSError("device went away")
 

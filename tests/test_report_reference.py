@@ -50,7 +50,9 @@ def _expected(config) -> dict[str, list]:
             restrict_to_roster=config.restrict_to_roster,
             include_retweet_hashtags=config.include_retweet_hashtags,
         ).transactions
-    cells = reference_report.bin_cells(transactions, config.epoch, config.width, config.count)
+    cells = reference_report.bin_cells(
+        transactions, config.epoch, config.width, config.count, roster
+    )
     groups = sorted(set(roster.values()))
     expected = {}
     graphs = {}

@@ -17,8 +17,11 @@ from culturestream.binning import (
 from culturestream.corpus import Transaction
 
 
-def _tx(tid, ts, keys, author="alice", group="A", practice="tagging"):
-    return Transaction(tid, author, group, ts, practice, tuple(keys))
+ROSTER = {"alice": "A", "carol": "B"}
+
+
+def _tx(tid, ts, keys, author="alice", practice="tagging"):
+    return Transaction(tid, author, ts, practice, tuple(keys))
 
 
 class TestWindowSpec:
@@ -81,9 +84,9 @@ class TestBinning:
             _tx("1", 1.0, ["a", "b"]),
             _tx("2", 2.0, ["a"]),
             _tx("3", 11.0, ["a"]),
-            _tx("4", 3.0, ["c"], author="carol", group="B"),
+            _tx("4", 3.0, ["c"], author="carol"),
         ]
-        vectors, dropped = bin_transactions(txs, spec)
+        vectors, dropped = bin_transactions(txs, spec, ROSTER)
         assert dropped == 0
         assert vectors[("A", 1, "tagging")] == {"a": 2, "b": 1}
         assert vectors[("A", 2, "tagging")] == {"a": 1}
@@ -91,13 +94,19 @@ class TestBinning:
 
     def test_absent_cells_have_no_vector(self):
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
-        vectors, _ = bin_transactions([_tx("1", 1.0, ["a"])], spec)
+        vectors, _ = bin_transactions([_tx("1", 1.0, ["a"])], spec, ROSTER)
         assert set(vectors) == {("A", 1, "tagging")}
+
+    def test_author_outside_the_roster_raises(self):
+        spec = WindowSpec(epoch=0.0, count=1, width=10.0)
+        with pytest.raises(KeyError, match="mallory"):
+            bin_transactions([_tx("1", 1.0, ["a"]), _tx("2", 2.0, ["b"], author="mallory")],
+                             spec, ROSTER)
 
     def test_out_of_grid_transactions_counted_dropped(self):
         spec = WindowSpec(epoch=10.0, count=1, width=10.0)
         vectors, dropped = bin_transactions(
-            [_tx("1", 5.0, ["a"]), _tx("2", 25.0, ["b"]), _tx("3", 12.0, ["c"])], spec
+            [_tx("1", 5.0, ["a"]), _tx("2", 25.0, ["b"]), _tx("3", 12.0, ["c"])], spec, ROSTER
         )
         assert dropped == 2
         assert ("A", 1, "tagging") in vectors
@@ -126,9 +135,9 @@ def test_vectors_csv_deterministic(tmp_path):
     spec = WindowSpec(epoch=0.0, count=2, width=10.0)
     txs = [
         _tx("1", 1.0, ["b", "a"]),
-        _tx("2", 11.0, ["a"], author="carol", group="B"),
+        _tx("2", 11.0, ["a"], author="carol"),
     ]
-    vectors, _ = bin_transactions(txs, spec)
+    vectors, _ = bin_transactions(txs, spec, ROSTER)
     path = tmp_path / "vectors.csv"
     write_vectors_csv(vectors, "tagging", path)
     assert path.read_bytes() == (
