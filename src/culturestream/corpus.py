@@ -33,7 +33,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from json.encoder import encode_basestring_ascii
 from typing import Container, Iterable, NamedTuple, Optional
 
@@ -50,6 +50,16 @@ SKIP_REASONS = ("malformed", "duplicate_id", "unknown_author", "outside_window",
 
 # IngestResult.malformed_lines keeps the first this many, not one per bad line.
 MALFORMED_SAMPLE = 20
+
+# A line whose brackets nest deeper than this is malformed.  json's C scanner
+# counts each level against the recursion limit from the caller's frame, so
+# without a fixed limit the verdict would depend on the interpreter and the
+# stack.  Every level opens with a bracket byte, so a line of at most this
+# many bytes cannot exceed it.
+MAX_NESTING = 512
+# A JSON string, running to the end of the line if unclosed, or one bracket.
+_NESTING_TOKEN_RE = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?|([\[\]{}])', re.DOTALL)
+_NESTING_STEP = {b"[": 1, b"{": 1, b"]": -1, b"}": -1, None: 0}
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
 # "RT username" and "RT @username", optional trailing colon.  Only the marker
@@ -248,6 +258,12 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
     return list(dict.fromkeys(cleaned))
 
 
+def _too_deep(line: bytes) -> bool:
+    """Whether a line's brackets, outside strings, nest deeper than MAX_NESTING."""
+    steps = (_NESTING_STEP[token[1]] for token in _NESTING_TOKEN_RE.finditer(line))
+    return any(depth > MAX_NESTING for depth in accumulate(steps))
+
+
 def load_corpus(
     lines: Iterable[bytes],
     roster: dict[str, str],
@@ -272,7 +288,8 @@ def load_corpus(
 
     Each line is bytes, decoded as UTF-8 on its own after a leading byte
     order mark is dropped (a line holding only one is blank); a line that
-    does not decode is malformed.
+    does not decode is malformed, and so is one whose brackets, outside
+    strings, nest deeper than ``MAX_NESTING``.
 
     Each Transaction goes to ``sink.append`` as it is emitted; ``sink``, a new
     list by default, is the result's ``transactions``.  Equal fact keys of
@@ -289,6 +306,12 @@ def load_corpus(
         if not stripped:
             continue
         result.records_read += 1
+        # The byte count, then the bracket count, spare nearly every line the scan.
+        if (len(stripped) > MAX_NESTING
+                and stripped.count(b"[") + stripped.count(b"{") > MAX_NESTING
+                and _too_deep(stripped)):
+            result.malformed(line_no, f"nested deeper than {MAX_NESTING} levels")
+            continue
 
         try:
             doc = stripped.decode("utf-8")

@@ -20,7 +20,6 @@ byte-identical directories.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import re
@@ -209,6 +208,10 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
 
 
 def _sha256_file(path) -> str:
+    # Imported here so that ingest never loads OpenSSL, and report only after
+    # its data passes.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -349,6 +352,8 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
         except Exception as exc:
             logger.exception("following network failed")
             status["following"] = f"failed: {exc}"
+
+    import hashlib  # see _sha256_file
 
     echo = _config_echo(config)
     inputs = {

@@ -1,10 +1,11 @@
 """Reference ingest that ``load_corpus`` must agree with.
 
 The straightforward form of ``culturestream.corpus.load_corpus``: every line
-is parsed with ``json.loads``, a raw record's facts come from
-``extract_oracle.extract_facts``, a pre-extracted record's keys are cleaned
-one at a time, and the duplicate rule keeps, per id, the set of practices
-seen under it.  It reaches ``culturestream`` only through public ``corpus``
+has its brackets counted one byte at a time and, unless they nest deeper
+than ``MAX_NESTING``, is parsed with ``json.loads``; a raw record's facts
+come from ``extract_oracle.extract_facts``, a pre-extracted record's keys are
+cleaned one at a time, and the duplicate rule keeps, per id, the set of
+practices seen under it.  It reaches ``culturestream`` only through public ``corpus``
 names.  Tests compare the production function with this one; the tool never
 calls it.
 """
@@ -16,6 +17,7 @@ import json
 
 import extract_oracle
 from culturestream.corpus import (
+    MAX_NESTING,
     PRACTICES,
     IngestResult,
     Transaction,
@@ -48,6 +50,27 @@ def _clean_keys(practice, keys, roster, restrict_to_roster):
     return cleaned
 
 
+def _too_deep(line):
+    """Whether more than MAX_NESTING brackets are ever open at once, outside strings."""
+    depth = 0
+    in_string = escaped = False
+    for char in line.decode("latin-1"):
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped = char == "\\"
+            in_string = char != '"'
+        elif char == '"':
+            in_string = True
+        elif char in "[{":
+            depth += 1
+            if depth > MAX_NESTING:
+                return True
+        elif char in "]}":
+            depth -= 1
+    return False
+
+
 def load_corpus(lines, roster, window, restrict_to_roster=True, include_retweet_hashtags=True):
     start, end = window
     result = IngestResult()
@@ -58,6 +81,9 @@ def load_corpus(lines, roster, window, restrict_to_roster=True, include_retweet_
         if not stripped:
             continue
         result.records_read += 1
+        if _too_deep(stripped):
+            result.malformed(line_no, f"nested deeper than {MAX_NESTING} levels")
+            continue
         try:
             rec = json.loads(stripped.decode("utf-8"))
             if not isinstance(rec, dict):

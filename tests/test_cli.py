@@ -365,3 +365,51 @@ def test_generators_run_without_numpy(args, tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_ingest_runs_without_hashlib(fixtures_dir, tmp_path):
+    src = str(Path(culturestream.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import sys\n"
+        "sys.modules['hashlib'] = sys.modules['_hashlib'] = None  # no OpenSSL\n"
+        "from culturestream.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-c", child, "ingest", "--config", str(fixtures_dir / "demo.cfg"),
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.returncode == 0, result.stderr
+    assert ((out / "transactions.jsonl").read_bytes()
+            == (fixtures_dir / "demo_corpus.jsonl").read_bytes())
+
+
+def test_report_imports_hashlib_only_after_loading_the_corpus(fixtures_dir, tmp_path):
+    src = str(Path(culturestream.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import sys\n"
+        "print('hashlib' in sys.modules)\n"
+        "from culturestream import pipeline\n"
+        "from culturestream.cli import main\n"
+        "load_corpus = pipeline.load_corpus\n"
+        "def loading(*args, **kwargs):\n"
+        "    result = load_corpus(*args, **kwargs)\n"
+        "    print('hashlib' in sys.modules)\n"
+        "    return result\n"
+        "pipeline.load_corpus = loading\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, "report", "--config", str(fixtures_dir / "demo.cfg"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.returncode == 0, result.stderr
+    at_start, at_load = result.stdout.splitlines()[:2]
+    if at_start == "True":
+        pytest.skip("the interpreter's start-up imports hashlib")
+    assert at_load == "False"

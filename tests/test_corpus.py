@@ -15,6 +15,7 @@ import extract_oracle
 import ingest_oracle
 from culturestream.corpus import (
     MALFORMED_SAMPLE,
+    MAX_NESTING,
     PRACTICES,
     RT_RE,
     IngestResult,
@@ -440,6 +441,27 @@ class TestHostileLines:
     def test_deeply_nested_line_is_malformed(self, small_roster):
         result = self._load([b"[" * 100_000, _raw("a", "alice", 1, "#x")], small_roster)
         assert result.skipped["malformed"] == 1
+        assert result.malformed_lines == [(1, f"nested deeper than {MAX_NESTING} levels")]
+
+    @pytest.mark.parametrize("frames", [0, 400], ids=["direct", "400-frames-deeper"])
+    def test_nesting_limit_holds_at_any_stack_depth(self, small_roster, frames):
+        lines = [_padded(_raw(1, "alice", 1, "#x"), MAX_NESTING),
+                 _padded(_raw(2, "alice", 1, "#x"), MAX_NESTING + 1),
+                 b"[" * 600]
+        result = _from_deeper_frames(frames, self._load, lines, small_roster)
+        assert [t.id for t in result.transactions] == ["1"]
+        assert result.malformed_lines == [
+            (2, f"nested deeper than {MAX_NESTING} levels"),
+            (3, f"nested deeper than {MAX_NESTING} levels"),
+        ]
+
+    def test_brackets_inside_strings_do_not_nest(self, small_roster):
+        text = '[{\\"' * (MAX_NESTING + 1) + "#x"  # escaped quotes and backslashes too
+        lines = [_raw(1, "alice", 1, text), _padded(_raw(2, "alice", 1, text), MAX_NESTING)]
+        assert lines[0].count(b"[") > MAX_NESTING  # so the depth scan runs
+        result = self._load(lines, small_roster)
+        assert result.skipped_total == 0
+        assert [t.id for t in result.transactions] == ["1", "2"]
 
     @given(
         st.lists(
@@ -467,6 +489,19 @@ class TestHostileLines:
         assert result.skipped["malformed"] == 1
 
 
+def _padded(record, depth):
+    """A record object with a ``pad`` field that brings its nesting to ``depth``."""
+    inner = depth - 1
+    return record[:-1] + b', "pad": ' + b"[" * inner + b"]" * inner + b"}"
+
+
+def _from_deeper_frames(frames, fn, *args):
+    """``fn(*args)``, called ``frames`` Python frames below this one."""
+    if frames:
+        return _from_deeper_frames(frames - 1, fn, *args)
+    return fn(*args)
+
+
 def _stamp(seconds, style):
     iso = datetime.fromtimestamp(seconds, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
     return (seconds, str(seconds), iso, iso + "Z", iso + "+00:00")[style]
@@ -483,6 +518,10 @@ def _dirty(kind, record):
         "array": b"[1]",
         "ideographic-space": "\u3000".encode(),
         "deep": b"[" * 100_000,
+        "at-nesting-limit": _padded(record, MAX_NESTING),
+        "past-nesting-limit": _padded(record, MAX_NESTING + 1),
+        "unclosed-brackets": b"[" * (MAX_NESTING + 1),
+        "unclosed-objects": b'{"a": ' * (MAX_NESTING + 1),
     }[kind]
 
 
@@ -498,7 +537,10 @@ _RECORDS = st.one_of(
 )
 _DIRT = st.builds(_dirty, st.sampled_from(["extra-word", "extra-object", "bom-then-spaces",
                                            "two-boms", "not-utf8", "array",
-                                           "ideographic-space", "deep"]), _RECORDS)
+                                           "ideographic-space", "deep",
+                                           "at-nesting-limit", "past-nesting-limit",
+                                           "unclosed-brackets", "unclosed-objects"]),
+                     _RECORDS)
 
 
 class TestReferenceIngest:

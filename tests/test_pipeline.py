@@ -6,7 +6,6 @@ import hashlib
 import json
 import tempfile
 import tracemalloc
-import types
 import weakref
 
 import pytest
@@ -448,15 +447,16 @@ class TestReleasedTransactions:
             return graph, skipped
 
         alive = []
+        sha256 = hashlib.sha256
 
         def hashing(*args):
             alive.append(sum(ref() is not None for ref in refs))
-            return hashlib.sha256(*args)
+            return sha256(*args)
 
         monkeypatch.setattr(network, "load_follow_edges", loading)
         monkeypatch.setattr(network, "build_follow_graph", building)
         # The run hashes each input file, then the config echo: all after the graph is written.
-        monkeypatch.setattr(pipeline, "hashlib", types.SimpleNamespace(sha256=hashing))
+        monkeypatch.setattr(hashlib, "sha256", hashing)
         values = dict(parse_config_file(fixtures_dir / "demo.cfg"), out=str(tmp_path / "out"))
         manifest = run_pipeline(build_run_config(values))
         assert manifest["practices"]["following"] == "ok"
