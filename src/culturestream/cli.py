@@ -147,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Run subcommands: name, help, and the stages they run (None: ingest only).
     for name, doc, stages in (
         ("ingest", "normalize a corpus into transactions + skip report", None),
-        ("measure", "culture vectors and per-window measure series",
-         frozenset({"ingest", "vectors", "series"})),
+        ("measure", "culture vectors and per-window measure series", frozenset({"measure"})),
         ("facts", "per-fact institutionness and burst episodes", frozenset({"facts"})),
         ("network", "directed practice graphs and group statistics", frozenset({"network"})),
         ("report", "full artifact set with manifest", pipeline.ALL_STAGES),

@@ -84,8 +84,9 @@ class Transaction(NamedTuple):
 
 
 # Authors repeat on every record, so the handle normalizer is memoized; an
-# exception is never cached, so a bad handle raises on every call.
-@lru_cache(maxsize=1 << 16)
+# exception is never cached, so a bad handle raises on every call.  It holds
+# about a roster's worth: most handles a raw text references occur once.
+@lru_cache(maxsize=1 << 10)
 def normalize_handle(raw: str) -> str:
     """Canonical user handle: leading '@' stripped, lowercased.
 
@@ -107,6 +108,32 @@ def fold_hashtag(token: str) -> str:
     return folded.lower()
 
 
+def _facts_from_keys(practice: str, keys: Iterable, roster: Container[str],
+                     restrict_to_roster: bool) -> list[str]:
+    """A practice's keys as facts, in first-occurrence order: the one cleaning rule.
+
+    Non-strings are dropped.  A hashtag loses its leading '#' and is folded by
+    ``fold_hashtag``, a handle goes through ``normalize_handle``; an empty tag, a
+    bad handle, an off-roster one under restrict_to_roster and a repeat are dropped.
+    """
+    cleaned = {}
+    for raw in keys:
+        if not isinstance(raw, str):
+            continue
+        if practice == "tagging":
+            key = fold_hashtag(raw.lstrip("#"))
+        else:
+            try:
+                key = normalize_handle(raw)
+            except ValueError:
+                continue
+            if restrict_to_roster and key not in roster:
+                continue
+        if key:
+            cleaned[key] = None
+    return [*cleaned]
+
+
 def extract_facts(
     text: str,
     roster: Container[str],
@@ -115,8 +142,8 @@ def extract_facts(
 ) -> dict[str, list[str]]:
     """Extract per-practice fact keys from a raw message.
 
-    Returns {"tagging": [...], "retweeting": [...], "mentioning": [...]} with
-    normalized, per-message-deduplicated keys in first-occurrence order.
+    Returns {"tagging": [...], "retweeting": [...], "mentioning": [...]}, each
+    list cleaned by ``_facts_from_keys`` as pre-extracted facts are.
 
     A username captured by an RT pattern is a retweetee and is never also
     counted as a mentionee of the same message.  With restrict_to_roster,
@@ -128,29 +155,24 @@ def extract_facts(
     # Only ASCII letters match the marker's (?i:R) and (?i:T), so a text whose
     # lowercase form lacks "rt" has no marker.
     rt_matches = list(RT_RE.finditer(text)) if "rt" in text.lower() else []
-    retweetees = list(dict.fromkeys(map(str.lower, [m[1] for m in rt_matches])))
-    mentionees = (list(dict.fromkeys(map(str.lower, _MENTION_RE.findall(text))))
-                  if "@" in text else [])
-    # The only "@" inside an RT span precedes that span's own handle, so every
-    # mention read there is a retweetee, and dropping retweetees drops it.
+    retweetees = [normalize_handle(m[1]) for m in rt_matches]
+    mentionees = list(map(normalize_handle, _MENTION_RE.findall(text))) if "@" in text else []
+    # The only "@" inside an RT span precedes its own handle, so dropping every
+    # retweetee, before the roster may drop it, drops each mention read there.
     if retweetees and mentionees:
         mentionees = [u for u in mentionees if u not in retweetees]
-    if restrict_to_roster and retweetees:
-        retweetees = [u for u in retweetees if u in roster]
-    if restrict_to_roster and mentionees:
-        mentionees = [u for u in mentionees if u in roster]
 
     if "#" not in text:
-        tokens = []
+        tags = []
     elif rt_matches and not include_retweet_hashtags:
         # A hashtag is kept when it starts before the marker ("#RT @a" keeps "rt").
         cutoff = rt_matches[0].start()
-        tokens = [m[1] for m in takewhile(lambda m: m.start() < cutoff, _HASHTAG_RE.finditer(text))]
+        tags = [m[1] for m in takewhile(lambda m: m.start() < cutoff, _HASHTAG_RE.finditer(text))]
     else:
-        tokens = _HASHTAG_RE.findall(text)
-    hashtags = [tag for tag in dict.fromkeys(map(fold_hashtag, tokens)) if tag]
-
-    return {"tagging": hashtags, "retweeting": retweetees, "mentioning": mentionees}
+        tags = _HASHTAG_RE.findall(text)
+    return {"tagging": _facts_from_keys("tagging", tags, roster, restrict_to_roster),
+            "retweeting": _facts_from_keys("retweeting", retweetees, roster, restrict_to_roster),
+            "mentioning": _facts_from_keys("mentioning", mentionees, roster, restrict_to_roster)}
 
 
 def load_roster(lines: Iterable[str]) -> dict[str, str]:
@@ -235,27 +257,6 @@ class IngestResult:
         self.skipped["malformed"] += 1
         if len(self.malformed_lines) < MALFORMED_SAMPLE:
             self.malformed_lines.append((line_no, reason))
-
-
-def _facts_from_keys(practice: str, keys: Iterable, roster: dict[str, str],
-                     restrict_to_roster: bool) -> list[str]:
-    cleaned = []
-    for raw in keys:
-        if not isinstance(raw, str):
-            continue
-        if practice == "tagging":
-            key = fold_hashtag(raw.lstrip("#"))
-            if not key:
-                continue
-        else:
-            try:
-                key = normalize_handle(raw)
-            except ValueError:
-                continue
-            if restrict_to_roster and key not in roster:
-                continue
-        cleaned.append(key)
-    return list(dict.fromkeys(cleaned))
 
 
 def _too_deep(line: bytes) -> bool:

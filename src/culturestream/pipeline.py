@@ -41,7 +41,7 @@ from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
-ALL_STAGES = frozenset({"ingest", "vectors", "series", "facts", "network"})
+ALL_STAGES = frozenset({"measure", "facts", "network"})
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
@@ -312,7 +312,7 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
             except Exception as exc:
                 logger.exception("practice %s failed", practice)
                 status[practice] = f"failed: {exc}"
-    if "ingest" in stages:
+    if "measure" in stages:
         emit("ingest_report.csv", write_ingest_report, ingest)
     counts = dict(_ingest_counts(ingest), dropped_outside_grid=dropped)
     del ingest
@@ -320,9 +320,8 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
     groups = sorted(set(roster.values()))
     for practice in config.practices:
         try:
-            if "vectors" in stages:
+            if "measure" in stages:
                 emit(f"vectors_{practice}.csv", binning.write_vectors_csv, vectors, practice)
-            if "series" in stages:
                 for measure in measures.MEASURES:
                     per_group = measures.build_series(
                         vectors, spec, practice, groups, measure, config.rbo_p

@@ -561,6 +561,35 @@ class TestReferenceIngest:
                 assert got.transactions == want.transactions, (restrict, retweet_hashtags)
 
 
+# Tokens that cleaning changes on the way to a fact key: retweet markers in both
+# forms, mixed-case handles on and off the roster, and hashtags that fold
+# (accented, full width, superscript) or carry a second '#'.
+_KEY_TOKENS = st.sampled_from([
+    "RT @Carol:", "RT @ghost:", "rt carol", "rt Dave", "@Carol", "@DAVE", "@dave", "@Ghost",
+    "#Tág", "#ＡＢ", "##x", "#²", "#x²", "#tag", "words",
+])
+_KEY_TEXTS = st.lists(st.tuples(_KEY_TOKENS, _SEPARATORS), max_size=10).map(
+    lambda parts: "".join(token + sep for token, sep in parts)
+)
+
+
+class TestRawTextRoundTrip:
+    """Raw text's transactions, written as pre-extracted lines, read back unchanged."""
+
+    @given(st.lists(st.tuples(_USERS, _KEY_TEXTS), max_size=8))
+    @example([("alice", "RT @Carol: #Tág @DAVE ##x #² #ＡＢ @carol @Ghost")])
+    def test_written_transactions_read_back_equal_under_every_flag_combination(self, messages):
+        roster = {"alice": "A", "bob": "A", "carol": "B", "dave": "B"}
+        lines = [_raw(i, user, i, text) for i, (user, text) in enumerate(messages)]
+        for restrict in (True, False):
+            for retweet_hashtags in (True, False):
+                first = load_corpus(lines, roster, SPAN, restrict, retweet_hashtags)
+                written = [transaction_line(t).encode() for t in first.transactions]
+                again = load_corpus(written, roster, SPAN, restrict, retweet_hashtags)
+                assert again.transactions == first.transactions, (restrict, retweet_hashtags)
+                assert again.skipped_total == 0, (restrict, retweet_hashtags)
+
+
 _ANY_TEXT = st.text(st.characters(exclude_categories=()))  # control chars, lone surrogates
 
 

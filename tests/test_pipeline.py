@@ -275,13 +275,14 @@ class TestRunPipeline:
     def test_stage_subsets_limit_artifacts(self, tmp_path):
         values = _small_inputs(tmp_path)
         config = build_run_config(values)
-        manifest = run_pipeline(config, stages=frozenset({"vectors"}))
-        assert set(manifest["artifacts"]) == {
-            "vectors_tagging.csv", "vectors_retweeting.csv", "vectors_mentioning.csv"
+        manifest = run_pipeline(config, stages=frozenset({"measure"}))
+        assert set(manifest["artifacts"]) == {"ingest_report.csv"} | {
+            f"{name}_{practice}.csv"
+            for name in ("vectors", *measures.MEASURES) for practice in PRACTICES
         }
 
     def test_all_stages_constant_covers_every_stage(self):
-        assert ALL_STAGES == {"ingest", "vectors", "series", "facts", "network"}
+        assert ALL_STAGES == {"measure", "facts", "network"}
 
 
 class TestPracticeIsolation:
