@@ -83,10 +83,9 @@ class Transaction(NamedTuple):
     facts: tuple[str, ...]
 
 
-# Authors repeat on every record, so the handle normalizer is memoized; an
-# exception is never cached, so a bad handle raises on every call.  It holds
-# about a roster's worth: most handles a raw text references occur once.
-@lru_cache(maxsize=1 << 10)
+# Authors repeat on every record, so handles are memoized (a canonical one is
+# its own value); an exception is never cached, so a bad handle raises again.
+@lru_cache(maxsize=1 << 16)
 def normalize_handle(raw: str) -> str:
     """Canonical user handle: leading '@' stripped, lowercased.
 
@@ -97,7 +96,7 @@ def normalize_handle(raw: str) -> str:
         raise ValueError("empty user handle")
     if handle.split() != [handle]:
         raise ValueError(f"whitespace in user handle: {raw!r}")
-    return handle
+    return raw if raw == handle else handle
 
 
 def fold_hashtag(token: str) -> str:
@@ -155,12 +154,13 @@ def extract_facts(
     # Only ASCII letters match the marker's (?i:R) and (?i:T), so a text whose
     # lowercase form lacks "rt" has no marker.
     rt_matches = list(RT_RE.finditer(text)) if "rt" in text.lower() else []
-    retweetees = [normalize_handle(m[1]) for m in rt_matches]
-    mentionees = list(map(normalize_handle, _MENTION_RE.findall(text))) if "@" in text else []
+    retweetees = [m[1] for m in rt_matches]
+    mentionees = _MENTION_RE.findall(text) if "@" in text else []
     # The only "@" inside an RT span precedes its own handle, so dropping every
     # retweetee, before the roster may drop it, drops each mention read there.
     if retweetees and mentionees:
-        mentionees = [u for u in mentionees if u not in retweetees]
+        dropped = set(map(normalize_handle, retweetees))
+        mentionees = [u for u in mentionees if normalize_handle(u) not in dropped]
 
     if "#" not in text:
         tags = []
