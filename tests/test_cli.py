@@ -329,8 +329,8 @@ def test_run_commands_import_neither_numpy_nor_synth_nor_selftest(command, fixtu
         "import sys\n"
         "from culturestream.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(sorted(m for m in ('numpy', 'culturestream.synth', 'culturestream.selftest')"
-        " if m in sys.modules))\n"
+        "print(sorted(m for m in ('numpy', 'culturestream.synth', 'culturestream.selftest',"
+        " 'hashlib', '_hashlib') if m in sys.modules))\n"
         "sys.exit(code)\n"
     )
     result = subprocess.run(
@@ -387,29 +387,44 @@ def test_ingest_runs_without_hashlib(fixtures_dir, tmp_path):
             == (fixtures_dir / "demo_corpus.jsonl").read_bytes())
 
 
-def test_report_imports_hashlib_only_after_loading_the_corpus(fixtures_dir, tmp_path):
+def _report_blocking(modules, fixtures_dir, tmp_path):
+    """Run the demo report in a child whose imports of ``modules`` fail, and
+    in this process.  Returns whether the child had imported hashlib at start
+    and at exit, and whether the two manifests are the same bytes."""
     src = str(Path(culturestream.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = (
         "import sys\n"
         "print('hashlib' in sys.modules)\n"
-        "from culturestream import pipeline\n"
+        f"for name in {modules!r}:\n"
+        "    sys.modules[name] = None\n"
         "from culturestream.cli import main\n"
-        "load_corpus = pipeline.load_corpus\n"
-        "def loading(*args, **kwargs):\n"
-        "    result = load_corpus(*args, **kwargs)\n"
-        "    print('hashlib' in sys.modules)\n"
-        "    return result\n"
-        "pipeline.load_corpus = loading\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sys.modules.get('hashlib') is not None)\n"
+        "sys.exit(code)\n"
     )
+    args = ["report", "--config", str(fixtures_dir / "demo.cfg"), "--out"]
     result = subprocess.run(
-        [sys.executable, "-c", child, "report", "--config", str(fixtures_dir / "demo.cfg"),
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", child, *args, str(tmp_path / "child")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert result.returncode == 0, result.stderr
-    at_start, at_load = result.stdout.splitlines()[:2]
+    assert main([*args, str(tmp_path / "plain")]) == 0
+    same = ((tmp_path / "child" / "manifest.json").read_bytes()
+            == (tmp_path / "plain" / "manifest.json").read_bytes())
+    return result.stdout.splitlines()[-2:], same
+
+
+def test_report_runs_without_hashlib(fixtures_dir, tmp_path):
+    (at_start, at_exit), same = _report_blocking(["hashlib", "_hashlib"], fixtures_dir, tmp_path)
     if at_start == "True":
         pytest.skip("the interpreter's start-up imports hashlib")
-    assert at_load == "False"
+    assert at_exit == "False"
+    assert same
+
+
+def test_report_falls_back_to_hashlib(fixtures_dir, tmp_path):
+    # as on an interpreter built without CPython's own SHA-256 module
+    (_, at_exit), same = _report_blocking(["_sha2", "_sha256"], fixtures_dir, tmp_path)
+    assert at_exit == "True"
+    assert same
