@@ -32,7 +32,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
 from itertools import accumulate, takewhile
 from json.encoder import encode_basestring_ascii
 from typing import Container, Iterable, NamedTuple, Optional
@@ -83,9 +82,6 @@ class Transaction(NamedTuple):
     facts: tuple[str, ...]
 
 
-# Authors repeat on every record, so handles are memoized (a canonical one is
-# its own value); an exception is never cached, so a bad handle raises again.
-@lru_cache(maxsize=1 << 16)
 def normalize_handle(raw: str) -> str:
     """Canonical user handle: leading '@' stripped, lowercased.
 
@@ -112,8 +108,9 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: Container[str],
     """A practice's keys as facts, in first-occurrence order: the one cleaning rule.
 
     Non-strings are dropped.  A hashtag loses its leading '#' and is folded by
-    ``fold_hashtag``, a handle goes through ``normalize_handle``; an empty tag, a
-    bad handle, an off-roster one under restrict_to_roster and a repeat are dropped.
+    ``fold_hashtag``, a handle goes through ``normalize_handle`` unless it is a
+    roster key, which is canonical already; an empty tag, a bad handle, an
+    off-roster one under restrict_to_roster and a repeat are dropped.
     """
     cleaned = {}
     for raw in keys:
@@ -123,7 +120,7 @@ def _facts_from_keys(practice: str, keys: Iterable, roster: Container[str],
             key = fold_hashtag(raw.lstrip("#"))
         else:
             try:
-                key = normalize_handle(raw)
+                key = raw if raw in roster else normalize_handle(raw)
             except ValueError:
                 continue
             if restrict_to_roster and key not in roster:
@@ -293,8 +290,9 @@ def load_corpus(
     strings, nest deeper than ``MAX_NESTING``.
 
     Each Transaction goes to ``sink.append`` as it is emitted; ``sink``, a new
-    list by default, is the result's ``transactions``.  Equal fact keys of
-    one pass are one object, and a practice is its ``PRACTICES`` member.
+    list by default, is the result's ``transactions``.  Within one pass, equal
+    fact keys and the transactions of one author share one string object, and
+    a practice is its ``PRACTICES`` member; nothing is remembered across passes.
     """
     start, end = window
     result = IngestResult([] if sink is None else sink)
@@ -330,7 +328,7 @@ def load_corpus(
             if not isinstance(user, str):
                 raise ValueError(f"user must be a string, got {user!r}")
             rec_id = str(rec_id)
-            author = normalize_handle(user)
+            author = user if user in roster else normalize_handle(user)
             ts = parse_timestamp(rec["timestamp"])
         # ValueError covers JSONDecodeError and UnicodeDecodeError.
         except (KeyError, ValueError, RecursionError) as exc:
@@ -360,6 +358,7 @@ def load_corpus(
         if not (start <= ts < end):
             result.skipped["outside_window"] += 1
             continue
+        author = share(author, author)
 
         if pre_extracted:
             facts = rec.get("facts")

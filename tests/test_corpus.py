@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -37,6 +38,7 @@ class TestHandleNormalization:
     def test_strips_at_and_lowercases(self):
         assert normalize_handle("@Alice") == "alice"
         assert normalize_handle("  BOB ") == "bob"
+        assert normalize_handle("@Carol") == normalize_handle("carol") == "carol"
 
     def test_rejects_empty_and_whitespace(self):
         with pytest.raises(ValueError):
@@ -45,11 +47,16 @@ class TestHandleNormalization:
             with pytest.raises(ValueError):
                 normalize_handle(handle)
 
-    def test_memoized_bad_handle_raises_on_every_call(self):
-        for _ in range(3):
-            with pytest.raises(ValueError):
-                normalize_handle("two words")
-        assert normalize_handle("@Carol") == normalize_handle("carol") == "carol"
+    def test_idempotent_over_every_code_point(self):
+        # load_corpus takes a roster key as it is: a key is normalize_handle's
+        # output, so this must hold under the interpreter's Unicode database.
+        for code in range(sys.maxunicode + 1):
+            for raw in (chr(code), f"@{chr(code)}b"):
+                try:
+                    handle = normalize_handle(raw)
+                except ValueError:
+                    continue
+                assert normalize_handle(handle) == handle, (hex(code), raw)
 
 
 # Message texts for the extraction oracle: retweet markers in both cases,
@@ -361,7 +368,7 @@ class TestLoadCorpus:
 
 
 class TestSharedValues:
-    """A pass holds each distinct fact key once, and each practice as its constant."""
+    """A pass holds each distinct author and fact key once, and each practice as its constant."""
 
     def test_equal_keys_are_one_object_and_practices_are_constants(self, small_roster):
         lines = [
@@ -381,6 +388,37 @@ class TestSharedValues:
                 assert first.setdefault(fact, fact) is fact, (t, fact)
                 seen[fact] = seen.get(fact, 0) + 1
         assert seen == {"wahl": 4, "cafe": 3, "carol": 4, "dave": 2, "alice": 2}
+
+    def test_each_author_and_key_is_one_object(self, small_roster):
+        users = ["Bob", "bob", "@BOB", "alice"]
+        lines = [_raw(f"r{n}", users[n % 4], n, "#Wahl @Carol RT @DAVE: @bob") for n in range(12)]
+        lines += [_pre(f"p{n}", users[n % 4], n, "mentioning", ["@Carol", "ALICE", "bob"])
+                  for n in range(12)]
+        result = load_corpus(lines, small_roster, SPAN)
+        objects: dict[str, set[int]] = {}
+        for t in result.transactions:
+            for value in (t.author, *t.facts):
+                objects.setdefault(value, set()).add(id(value))
+        assert {t.author for t in result.transactions} == {"alice", "bob"}
+        assert {value: len(ids) for value, ids in objects.items()} == dict.fromkeys(
+            ["alice", "bob", "carol", "dave", "wahl"], 1)
+
+    def test_a_pass_keeps_no_handle_it_read(self, small_roster):
+        def corpus(handle):
+            return [_raw(f"r{n}", "alice", 1, f"#t @{handle(n)}") for n in range(5_000)]
+
+        # The first pass fills what every pass leaves behind (free lists, the
+        # standard library's caches), so only handles the second one kept count.
+        same, distinct = corpus(lambda n: "ghost"), corpus(lambda n: f"ghost{n:04d}")
+        tracemalloc.start()
+        try:
+            load_corpus(same, small_roster, SPAN)
+            after_same = tracemalloc.get_traced_memory()[0]
+            load_corpus(distinct, small_roster, SPAN)
+            held = tracemalloc.get_traced_memory()[0] - after_same
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
     @pytest.mark.parametrize("practice", [["tagging"], {"tagging": 1}, 1, None],
                              ids=["list", "dict", "number", "null"])

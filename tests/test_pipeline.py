@@ -718,7 +718,7 @@ class TestStreamedIngest:
         config = build_run_config(values)
         with open(config.roster, encoding="utf-8") as fh:
             roster = load_roster(fh)
-        run_ingest(config)  # fills the handle normalizer's cache and imports what ingest uses
+        run_ingest(config)  # imports what ingest uses
 
         def peak(run) -> int:
             tracemalloc.start()
