@@ -45,10 +45,7 @@ def focus(vector: CultureVector) -> float:
     if n == 1:
         return 1.0
     total = sum(vector.values())
-    entropy = 0.0
-    for count in vector.values():
-        p = count / total
-        entropy -= p * math.log2(p)
+    entropy = -math.fsum(c / total * math.log2(c / total) for c in vector.values())
     return 1.0 - entropy / math.log2(n)
 
 
@@ -132,10 +129,9 @@ def _similarity_series(vectors, spec, practice, groups) -> dict[str, Series]:
     """build_series for similarity, one window at a time from a fact -> cells index.
 
     Dot products are summed as integers, only for pairs of cells that share a
-    fact, and each norm is computed once.  A group's mean adds the cosines in
-    the window's ``vectors`` order, so it is bit-identical to averaging
-    per-pair cosines in that order while every dot stays below 2**53; a pair
-    with no shared fact adds nothing, which is the same as adding 0.0.
+    fact, and each norm is computed once.  A group's cosines are added with
+    ``math.fsum``, so the mean does not depend on the order of the cells; a
+    pair with no shared fact adds nothing, which is the same as adding 0.0.
     """
     by_window: dict[int, dict[str, CultureVector]] = {}
     for (g, w, p), vec in vectors.items():
@@ -156,10 +152,7 @@ def _similarity_series(vectors, spec, practice, groups) -> dict[str, Series]:
                 posting.append((i, count))
         norms = [math.sqrt(sum(c * c for c in vec.values())) for vec in cells.values()]
         for g, row, norm in zip(cells, dots, norms):
-            total = 0.0
-            for dot, other in zip(row, norms):
-                if dot:
-                    total += dot / (norm * other)
+            total = math.fsum(dot / (norm * other) for dot, other in zip(row, norms) if dot)
             score[(g, w)] = total / (n - 1)
     windows = range(1, spec.count + 1)
     return {group: [(w, score.get((group, w))) for w in windows] for group in groups}

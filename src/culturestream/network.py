@@ -19,6 +19,7 @@ Statistics per group and for the TOTAL scope:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -114,8 +115,7 @@ def group_stats(graph: PracticeGraph) -> list[GroupNetworkStats]:
     """Stats rows for every group (sorted) followed by the TOTAL scope.
 
     One walk over the arcs tallies every group at once, the active nodes and
-    each sender's out-weight.  Homophily means sum each scope's senders in
-    the order of their first arc.
+    each sender's out-weight.  Homophily means add with ``math.fsum``.
     """
     group_of = graph.group_of
     groups = sorted(set(group_of.values()))
@@ -152,7 +152,7 @@ def group_stats(graph: PracticeGraph) -> list[GroupNetworkStats]:
     for scope, (n, inside, k_out, k_in, w_out, w_in), values in scopes:
         means = [v / n for v in (k_out, k_in, w_out, w_in)] if n else [None] * 4
         density = inside / (n * (n - 1)) if n >= 2 else None
-        homophily = sum(values) / len(values) if values else None
+        homophily = math.fsum(values) / len(values) if values else None
         rows.append(GroupNetworkStats(scope, n, density, *means, homophily))
     return rows
 

@@ -133,11 +133,11 @@ SYNTH_DIGESTS = {
     "facts_tagging.csv":
         "f7d059fa0e38f46bc9ffb6b61f9166b60e48782360cd3515412db426aa34f35b",
     "focus_mentioning.csv":
-        "6af6fc88cc3884b477697ee0a2578b795f601277a045a27bcc65bd1ed3662d31",
+        "fbd3b8d4f76f4382133816de677ef23862a9f924be5541882a5e42c95d19166d",
     "focus_retweeting.csv":
-        "2b54b438396332f5893197acdec3f8c890afc2678681d7016b828e8080f6c9cd",
+        "e0a700e04f6755805871002f7b5d911ac46ec309424d90c3509ba7a6db24f94e",
     "focus_tagging.csv":
-        "4ee3bd9fc95b54906282330ef2d1068b1191c71237b4e401e90f7a5036bd3fad",
+        "78475c82932128c709758f8956ef79095402d733cbfbab7e2f84a61f3770e438",
     "frequency_mentioning.csv":
         "e24a91c2c18ba58cad493fba64b924f1dd0954e42081c5808d611c283757c29a",
     "frequency_retweeting.csv":

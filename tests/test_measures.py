@@ -141,7 +141,7 @@ class TestGroupSimilarity:
         )
     )
     def test_series_equals_pairwise_mean_bit_for_bit(self, cells):
-        """Equal with == to the mean of the reference cosines to the other cells, in order."""
+        """Equal with == to the correctly rounded mean of the reference cosines to the others."""
         spec = WindowSpec(epoch=0.0, count=3, width=10.0)
         vectors = {(g, w, "tagging"): vec for (g, w), vec in cells.items()}
         groups = list("ABCDEF")
@@ -153,7 +153,7 @@ class TestGroupSimilarity:
                 if own is None or not others:
                     assert value is None
                 else:
-                    expected = sum(
+                    expected = math.fsum(
                         reference_report.pair_similarity(own, v) for v in others
                     ) / len(others)
                     assert value == expected
