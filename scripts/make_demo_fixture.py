@@ -21,6 +21,7 @@ from culturestream.synth import (
     SynthConfig,
     draw_target,
     generate,
+    target_pools,
     write_roster_csv,
 )
 
@@ -47,14 +48,12 @@ def make_stream_config() -> SynthConfig:
 def make_follow_edges(roster: dict[str, str], per_member: int = 6, hom: float = 0.7):
     """Deterministic follow edges, each target drawn as the stream draws one."""
     rng = random.Random(FOLLOW_SEED)
-    members = list(roster)
-    index_of = {m: i for i, m in enumerate(members)}
+    pools = target_pools(roster)
     edges = []
-    for member in members:
-        own = [m for m in members if roster[m] == roster[member] and m != member]
+    for member in roster:
         targets = set()
         while len(targets) < per_member:
-            targets.add(draw_target(rng, member, members, index_of, own, hom))
+            targets.add(draw_target(rng, pools[member], hom))
         edges += ((member, target) for target in targets)
     return sorted(edges)
 

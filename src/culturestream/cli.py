@@ -129,11 +129,11 @@ def _cmd_synth(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
     try:
-        results = selftest.run(args.only or None)
+        report, failed = selftest.run(args.only or None)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    print(selftest.format_results(results))
-    return EXIT_SELFTEST if selftest.failures(results) else EXIT_OK
+    print(report)
+    return EXIT_SELFTEST if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

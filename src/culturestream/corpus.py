@@ -156,8 +156,8 @@ def extract_facts(
     # The only "@" inside an RT span precedes its own handle, so dropping every
     # retweetee, before the roster may drop it, drops each mention read there.
     if retweetees and mentionees:
-        dropped = set(map(normalize_handle, retweetees))
-        mentionees = [u for u in mentionees if normalize_handle(u) not in dropped]
+        dropped = set(map(str.lower, retweetees))
+        mentionees = [u for u in mentionees if u.lower() not in dropped]
 
     if "#" not in text:
         tags = []

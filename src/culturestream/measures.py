@@ -37,7 +37,7 @@ def focus(vector: CultureVector) -> float:
     """1 - H/log2(n) for the vector's frequency distribution.
 
     A single-fact vector has maximal focus 1 by definition (the normalizer
-    log2(1) vanishes).
+    log2(1) vanishes), and equal counts give exactly 0, not a rounding residue.
     """
     n = len(vector)
     if n == 0:
@@ -45,6 +45,8 @@ def focus(vector: CultureVector) -> float:
     if n == 1:
         return 1.0
     total = sum(vector.values())
+    if total == n * max(vector.values()):
+        return 0.0
     entropy = -math.fsum(c / total * math.log2(c / total) for c in vector.values())
     return 1.0 - entropy / math.log2(n)
 

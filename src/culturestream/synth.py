@@ -159,11 +159,7 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
     """Deterministic synthetic stream for the configured mechanisms."""
     rng = random.Random(config.seed)
     roster = config.roster()
-    members = list(roster)
-    index_of = {m: i for i, m in enumerate(members)}
-    same_group = {
-        m: [o for o in members if roster[o] == roster[m] and o != m] for m in members
-    }
+    pools = target_pools(roster)
     urn = _FactUrn(rng)
     for i in range(config.warmup_facts):
         urn.seed_fact(f"w{i + 1:05d}", config.warmup_tokens)
@@ -179,15 +175,13 @@ def generate(config: SynthConfig) -> tuple[list[Transaction], dict[str, str]]:
             if inj.active(window)
         }
         window_start = config.epoch + (window - 1) * config.width
-        for member in members:
+        for member in roster:
             for practice in config.practices:
                 for _ in range(poisson(rng, config.rate)):
                     if practice == "tagging":
                         fact = urn.draw(config.alpha, boosts)
                     else:
-                        fact = draw_target(
-                            rng, member, members, index_of, same_group[member], config.hom
-                        )
+                        fact = draw_target(rng, pools[member], config.hom)
                         if fact is None:
                             continue
                     serial += 1
@@ -224,19 +218,24 @@ def poisson(rng: random.Random, rate: float) -> int:
     return total
 
 
-def draw_target(rng, member, members, index_of, own_group, hom) -> Optional[str]:
-    """One user target: own group with probability ``hom``, else anyone but ``member``."""
-    if rng.random() < hom:
-        if not own_group:
-            return None
-        return own_group[int(rng.random() * len(own_group))]
-    if len(members) < 2:
-        return None
-    # uniform over the whole roster minus the sender
-    pick = int(rng.random() * (len(members) - 1))
-    if pick >= index_of[member]:
-        pick += 1
-    return members[pick]
+def target_pools(roster: dict[str, str]) -> dict[str, tuple[tuple[list[str], int], ...]]:
+    """Each member's (group, index in it) and (roster, index in it), in one pass."""
+    everyone, groups, pools = list(roster), {}, {}
+    for i, member in enumerate(everyone):
+        group = groups.setdefault(roster[member], [])
+        pools[member] = ((group, len(group)), (everyone, i))
+        group.append(member)
+    return pools
+
+
+def draw_target(rng, pools, hom) -> Optional[str]:
+    """One user target, never the sender: uniform over the sender's group with
+    probability ``hom``, else over the roster, from its ``target_pools`` entry."""
+    pool, index = pools[0] if rng.random() < hom else pools[1]
+    if len(pool) < 2:
+        return None  # the sender alone: no second draw
+    pick = int(rng.random() * (len(pool) - 1))  # uniform over the pool without the sender
+    return pool[pick + (pick >= index)]
 
 
 def write_roster_csv(roster: dict[str, str], path) -> int:

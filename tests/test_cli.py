@@ -176,8 +176,33 @@ class TestSelftest:
     def test_full_battery_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "checks passed" in out
+        n = len(selftest.CHECKS)
+        assert out.splitlines()[-1] == f"{n}/{n} checks passed"
         assert "FAIL" not in out
+
+    def test_failing_checks_are_reported(self, capsys, monkeypatch):
+        # Raised by hand: pytest rewrites this module's asserts to add their source.
+        def with_message():
+            raise AssertionError("want 1, got 2")
+
+        def without_message():
+            raise AssertionError
+
+        def raises():
+            1 / 0
+
+        failing = [("with_message", with_message), ("without_message", without_message),
+                   ("raises", raises)]
+        monkeypatch.setattr(selftest, "CHECKS", selftest.CHECKS + failing)
+        only = ["focus_single_fact", "raises", "with_message", "without_message"]
+        assert main(["selftest", *(f"--only={name}" for name in only)]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "ok   focus_single_fact",
+            "FAIL with_message  (want 1, got 2)",
+            "FAIL without_message",
+            "FAIL raises  (ZeroDivisionError: division by zero)",
+            "1/4 checks passed",
+        ]
 
     def test_single_check_selection(self, capsys):
         assert main(["selftest", "--only", "focus_single_fact"]) == 0

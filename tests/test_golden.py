@@ -133,11 +133,11 @@ SYNTH_DIGESTS = {
     "facts_tagging.csv":
         "f7d059fa0e38f46bc9ffb6b61f9166b60e48782360cd3515412db426aa34f35b",
     "focus_mentioning.csv":
-        "fbd3b8d4f76f4382133816de677ef23862a9f924be5541882a5e42c95d19166d",
+        "6af6fc88cc3884b477697ee0a2578b795f601277a045a27bcc65bd1ed3662d31",
     "focus_retweeting.csv":
-        "e0a700e04f6755805871002f7b5d911ac46ec309424d90c3509ba7a6db24f94e",
+        "2b54b438396332f5893197acdec3f8c890afc2678681d7016b828e8080f6c9cd",
     "focus_tagging.csv":
-        "78475c82932128c709758f8956ef79095402d733cbfbab7e2f84a61f3770e438",
+        "816a2c374cc51e0f65f5b3ff53330c98efdb9567ee646679bff19cf490915605",
     "frequency_mentioning.csv":
         "e24a91c2c18ba58cad493fba64b924f1dd0954e42081c5808d611c283757c29a",
     "frequency_retweeting.csv":

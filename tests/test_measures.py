@@ -37,6 +37,12 @@ class TestFocus:
     def test_uniform_is_zero(self):
         assert focus({"a": 5, "b": 5, "c": 5}) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_equal_counts_are_exactly_zero(self, n):
+        # 1 - H/log2(n) with H and log2(n) each rounded leaves 1.1e-16 at n = 7
+        # and -2.2e-16 at n = 10.
+        assert focus({f"k{i}": 3 for i in range(n)}) == 0.0
+
     def test_known_skewed_pair(self):
         # 1 - H(3/4, 1/4) / log2(2) evaluated by hand
         assert focus({"a": 3, "b": 1}) == pytest.approx(0.18872187554086717, abs=1e-12)

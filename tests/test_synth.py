@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,8 +15,10 @@ from culturestream.synth import (
     POISSON_PART,
     BurstInjection,
     SynthConfig,
+    draw_target,
     generate,
     poisson,
+    target_pools,
     write_roster_csv,
 )
 from stream_contract import validate_transactions
@@ -192,6 +195,63 @@ class TestMechanisms:
     def test_practice_restriction(self):
         txs, _ = generate(_config(practices=("mentioning",)))
         assert {t.practice for t in txs} == {"mentioning"}
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def _reference_target(rng, member, roster, hom):
+    """The draw spelled out with a fresh copy of each pool."""
+    in_group = rng.random() < hom
+    pool = [m for m in roster if m != member and (roster[m] == roster[member] or not in_group)]
+    return pool[int(rng.random() * len(pool))] if pool else None
+
+
+class TestTargets:
+    def test_draws_match_the_spelled_out_rule(self):
+        roster = _config(groups=[("A", 7), ("B", 3), ("C", 1)]).roster()
+        pools = target_pools(roster)
+        for seed, hom in enumerate((0.0, 0.5, 1.0)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for member in roster:
+                for _ in range(50):
+                    assert (draw_target(ours, pools[member], hom)
+                            == _reference_target(theirs, member, roster, hom))
+            assert ours.getstate() == theirs.getstate()
+
+    def test_a_pool_of_the_sender_alone_gives_none_after_one_draw(self):
+        pools = target_pools({"a000": "A", "b000": "B"})
+        rng = _CountingRandom(1)
+        assert draw_target(rng, pools["a000"], 1.0) is None
+        assert rng.calls == 1
+        assert draw_target(rng, pools["a000"], 0.0) == "b000"
+        lone = target_pools({"z000": "Z"})["z000"]
+        for hom in (0.0, 1.0):
+            rng = _CountingRandom(1)
+            assert draw_target(rng, lone, hom) is None
+            assert rng.calls == 1
+
+    def test_stream_skips_a_draw_without_target(self):
+        users = ("retweeting", "mentioning")
+        txs, roster = generate(_config(groups=[("A", 1), ("B", 3)], hom=1.0, practices=users))
+        assert txs and "a000" not in {t.author for t in txs}
+        assert all(roster[t.facts[0]] == roster[t.author] != "A" for t in txs)
+        assert generate(_config(groups=[("Z", 1)], rate=5.0, practices=users))[0] == []
+
+    def test_pools_grow_linearly_with_the_roster(self):
+        config = _config(groups=[("A", 2000), ("B", 2000)], windows=1, rate=0.0)
+        tracemalloc.start()
+        try:
+            generate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestStreamContract:
