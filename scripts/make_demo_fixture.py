@@ -46,14 +46,21 @@ def make_stream_config() -> SynthConfig:
 
 
 def make_follow_edges(roster: dict[str, str], per_member: int = 6, hom: float = 0.7):
-    """Deterministic follow edges, each target drawn as the stream draws one."""
+    """Deterministic follow edges, each target drawn as the stream draws one.
+
+    A member follows ``per_member`` others, or every other member of a smaller
+    roster; a draw with no one to pick is skipped.
+    """
     rng = random.Random(FOLLOW_SEED)
     pools = target_pools(roster)
+    wanted = min(per_member, len(roster) - 1)
     edges = []
     for member in roster:
         targets = set()
-        while len(targets) < per_member:
-            targets.add(draw_target(rng, pools[member], hom))
+        while len(targets) < wanted:
+            target = draw_target(rng, pools[member], hom)
+            if target is not None:
+                targets.add(target)
         edges += ((member, target) for target in targets)
     return sorted(edges)
 

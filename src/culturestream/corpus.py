@@ -238,11 +238,12 @@ def parse_timestamp(value) -> float:
 class IngestResult:
     """Validated transactions plus an accounting of every skipped record.
 
-    ``transactions`` is the sink that ``load_corpus`` was given: a list by default.
+    ``transactions`` stays empty when ``load_corpus`` hands them to an ``emit``.
     """
 
     transactions: list[Transaction] = field(default_factory=list)
     records_read: int = 0
+    emitted: int = 0
     skipped: dict[str, int] = field(default_factory=lambda: {r: 0 for r in SKIP_REASONS})
     malformed_lines: list[tuple[int, str]] = field(default_factory=list)
 
@@ -268,7 +269,7 @@ def load_corpus(
     window: tuple[float, float],
     restrict_to_roster: bool = True,
     include_retweet_hashtags: bool = True,
-    sink=None,
+    emit=None,
 ) -> IngestResult:
     """Single-pass ingest of line-delimited records into Transactions.
 
@@ -289,15 +290,20 @@ def load_corpus(
     does not decode is malformed, and so is one whose brackets, outside
     strings, nest deeper than ``MAX_NESTING``.
 
-    Each Transaction goes to ``sink.append`` as it is emitted; ``sink``, a new
-    list by default, is the result's ``transactions``.  Within one pass, equal
-    fact keys and the transactions of one author share one string object, and
-    a practice is its ``PRACTICES`` member; nothing is remembered across passes.
+    Each transaction goes to ``emit(id, author, timestamp, practice, keys)``,
+    ``keys`` a list and the practice its ``PRACTICES`` member.  By default it
+    becomes a Transaction in ``transactions``, and within the pass equal keys
+    and one author's transactions share one string object.
     """
     start, end = window
-    result = IngestResult([] if sink is None else sink)
-    emit = result.transactions.append
-    share = {}.setdefault
+    result = IngestResult()
+    if emit is None:
+        share = {}.setdefault
+        keep = result.transactions.append
+
+        def emit(rec_id, author, ts, practice, keys):
+            keep(Transaction(rec_id, share(author, author), ts, practice,
+                             tuple(map(share, keys, keys))))
     seen_bits: dict[str, int] = {}
 
     for line_no, line in enumerate(lines, 1):
@@ -358,7 +364,6 @@ def load_corpus(
         if not (start <= ts < end):
             result.skipped["outside_window"] += 1
             continue
-        author = share(author, author)
 
         if pre_extracted:
             facts = rec.get("facts")
@@ -381,12 +386,12 @@ def load_corpus(
                 include_retweet_hashtags=include_retweet_hashtags,
             )
 
-        emitted = False
+        emitted = 0
         for practice, keys in keys_by_practice.items():
             if keys:
-                emit(Transaction(rec_id, author, ts, practice,
-                                 tuple(map(share, keys, keys))))
-                emitted = True
+                emit(rec_id, author, ts, practice, keys)
+                emitted += 1
+        result.emitted += emitted
         if not emitted:
             result.skipped["no_facts"] += 1
 
@@ -416,37 +421,22 @@ def write_ingest_report(result: IngestResult, path) -> int:
     )
 
 
-def transaction_line(t: Transaction) -> str:
-    """One transaction as a record of the pre-extracted schema, without newline.
+def transaction_line(t) -> str:
+    """A Transaction, or its five fields, as a pre-extracted record without newline.
 
     The bytes of ``json.dumps(record, sort_keys=True)``, built directly: the
     keys in sorted order, strings through json's own ASCII escaper and the
     timestamp as ``float.__repr__``, as json writes a float.
     """
+    rec_id, author, timestamp, practice, facts = t
     quote = encode_basestring_ascii
-    return (f'{{"facts": [{", ".join(map(quote, t.facts))}], "id": {quote(t.id)}, '
-            f'"practice": {quote(t.practice)}, "timestamp": {float.__repr__(t.timestamp)}, '
-            f'"user": {quote(t.author)}}}')
-
-
-class TransactionWriter:
-    """A sink writing each transaction to ``fh`` as a line; its length counts them."""
-
-    def __init__(self, fh):
-        self._write = fh.write
-        self._count = 0
-
-    def append(self, t: Transaction) -> None:
-        self._write(transaction_line(t) + "\n")
-        self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
+    return (f'{{"facts": [{", ".join(map(quote, facts))}], "id": {quote(rec_id)}, '
+            f'"practice": {quote(practice)}, "timestamp": {float.__repr__(timestamp)}, '
+            f'"user": {quote(author)}}}')
 
 
 def write_transactions_jsonl(transactions: Iterable[Transaction], path) -> None:
     """Write a stream in the pre-extracted record schema, one object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        writer = TransactionWriter(fh)
         for t in transactions:
-            writer.append(t)
+            fh.write(transaction_line(t) + "\n")

@@ -31,10 +31,10 @@ from . import binning, facts, measures, network
 from .corpus import (
     PRACTICES,
     USER_PRACTICES,
-    TransactionWriter,
     load_corpus,
     load_roster,
     parse_timestamp,
+    transaction_line,
     write_ingest_report,
 )
 from .errors import ConfigError, DataError
@@ -247,11 +247,11 @@ def _config_echo(config: RunConfig) -> dict:
     return {s.name: _plain(getattr(config, s.name)) for s in SETTINGS if s.name != "out_dir"}
 
 
-def _load(config: RunConfig, sink=None):
+def _load(config: RunConfig, emit=None):
     """Validate, read the roster and corpus, and make the output directory.
 
     Nothing is written to the output directory before the configuration
-    validates and both inputs have been read; a ``sink`` given for the
+    validates and both inputs have been read; an ``emit`` given for the
     transactions (see ``load_corpus``) must therefore write elsewhere.  The
     corpus is read as bytes and each line decoded on its own, so a byte order
     mark is ignored and a line that is not UTF-8 counts as malformed.  Records
@@ -274,7 +274,7 @@ def _load(config: RunConfig, sink=None):
             (spec.epoch, spec.end),
             restrict_to_roster=config.restrict_to_roster,
             include_retweet_hashtags=config.include_retweet_hashtags,
-            sink=sink,
+            emit=emit,
         )
     if ingest.malformed_lines:
         logger.warning(
@@ -289,7 +289,7 @@ def _load(config: RunConfig, sink=None):
 def _ingest_counts(ingest) -> dict:
     return {
         "records_read": ingest.records_read,
-        "transactions": len(ingest.transactions),
+        "transactions": ingest.emitted,
         "skipped": dict(ingest.skipped),
     }
 
@@ -395,9 +395,9 @@ def run_pipeline(config: RunConfig, stages: frozenset = ALL_STAGES) -> dict:
 def run_ingest(config: RunConfig) -> dict:
     """Ingest only: normalized transaction stream plus the skip report.
 
-    Transactions are written as they are emitted, to a temporary file outside
-    the output directory that becomes ``transactions.jsonl`` once the pass has
-    completed, so memory grows with the distinct record ids only.
+    Each transaction is written as a line, never kept, to a temporary file
+    outside the output directory that becomes ``transactions.jsonl`` once the
+    pass has completed, so memory grows with the distinct record ids only.
     """
     # Imported here so that report does not pay for them.
     import shutil
@@ -406,7 +406,8 @@ def run_ingest(config: RunConfig) -> dict:
     tmp = tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".jsonl", delete=False)
     try:
         with tmp:
-            _, _, ingest, out = _load(config, TransactionWriter(tmp.file))
+            write = tmp.file.write
+            _, _, ingest, out = _load(config, lambda *fields: write(transaction_line(fields) + "\n"))
         shutil.copyfile(tmp.name, out / "transactions.jsonl")
     finally:
         Path(tmp.name).unlink()

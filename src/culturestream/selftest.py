@@ -344,6 +344,8 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
 
 def run(names: Optional[list[str]] = None) -> tuple[str, int]:
     """Execute the battery (or a named subset): the report text and the failure count."""
+    if not __debug__:  # every check is an assert statement
+        raise ValueError("selftest cannot run under python -O, which strips assert statements")
     unknown = [n for n in names or () if n not in dict(CHECKS)]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")

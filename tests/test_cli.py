@@ -346,6 +346,19 @@ def test_console_script_entry_point(tmp_path):
     assert "1/1 checks passed" in result.stdout
 
 
+def test_selftest_refuses_to_run_under_optimize():
+    # python -O strips assert statements, so every check would pass.
+    src = str(Path(culturestream.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "culturestream.cli", "selftest"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.returncode == 1
+    assert "-O" in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["report", "ingest"])
 def test_run_commands_import_neither_numpy_nor_synth_nor_selftest(command, fixtures_dir, tmp_path):
     src = str(Path(culturestream.__file__).resolve().parent.parent)

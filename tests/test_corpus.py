@@ -176,6 +176,10 @@ class TestRoster:
         with pytest.raises(DataError, match=message):
             load_roster(["user,group", "alice,A", row])
 
+    def test_blank_and_whitespace_rows_are_skipped(self):
+        rows = ["user,group", "alice,A", "", "   ", " , ", "bob,B"]
+        assert load_roster(rows) == {"alice": "A", "bob": "B"}
+
     def test_header_required(self):
         with pytest.raises(DataError):
             load_roster(["member,party", "alice,A"])

@@ -26,7 +26,6 @@ from culturestream.pipeline import (
 )
 from culturestream.corpus import (
     PRACTICES,
-    Transaction,
     load_corpus,
     load_roster,
     write_transactions_jsonl,
@@ -116,6 +115,11 @@ class TestBuildRunConfig:
         assert config.include_retweet_hashtags is True
         assert config.markers == []
         assert config.follow_edges is None
+
+    def test_empty_marker_items_are_skipped(self):
+        values = {"corpus": "c", "roster": "r", "out": "o", "epoch": "0", "weeks": "6",
+                  "markers": "2:a,,5:b, "}
+        assert build_run_config(values).markers == [(2, "a"), (5, "b")]
 
     def test_bad_epoch_rejected(self, tmp_path):
         values = _small_inputs(tmp_path)
@@ -388,10 +392,11 @@ class TestReleasedTransactions:
         load_corpus_ = pipeline.load_corpus
         fact_measures = facts.fact_measures
 
-        def load_into_sink(*args, sink=None, **kwargs):
-            sink = Sink()
-            refs.append(weakref.ref(sink))
-            return load_corpus_(*args, sink=sink, **kwargs)
+        def load_into_sink(*args, **kwargs):
+            result = load_corpus_(*args, **kwargs)
+            result.transactions = Sink(result.transactions)
+            refs.append(weakref.ref(result.transactions))
+            return result
 
         released = []
 
@@ -701,9 +706,9 @@ class TestStreamedIngest:
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
 
-        def failing_load(lines, roster, window, *args, sink, **kwargs):
+        def failing_load(lines, roster, window, *args, emit, **kwargs):
             for n in range(3):
-                sink.append(Transaction(f"m{n}", "a000", 1.0, "tagging", ("x",)))
+                emit(f"m{n}", "a000", 1.0, "tagging", ["x"])
             assert len(list(scratch.iterdir())) == 1  # the stream goes to a temporary file
             raise OSError("device went away")
 
@@ -734,6 +739,28 @@ class TestStreamedIngest:
             assert len(result.transactions) > 18_000
 
         assert peak(lambda: run_ingest(config)) < peak(listed) / 2
+
+    def test_peak_memory_keeps_no_fact_key(self, tmp_path):
+        # 4,000 records, each tagging its own 1,000-character hashtag: keeping
+        # every key for the pass would hold about 4 MB.
+        with open(tmp_path / "corpus.jsonl", "w", encoding="utf-8") as fh:
+            for n in range(4000):
+                record = {"id": n, "user": "a", "timestamp": 1, "practice": "tagging",
+                          "facts": [f"{n:04d}" * 250]}
+                fh.write(json.dumps(record) + "\n")
+        (tmp_path / "roster.csv").write_text("user,group\na,A\nb,B\n")
+        config = build_run_config({
+            "corpus": str(tmp_path / "corpus.jsonl"), "roster": str(tmp_path / "roster.csv"),
+            "out": str(tmp_path / "out"), "epoch": "0", "weeks": "2",
+        })
+        assert run_ingest(config)["transactions"] == 4000  # also imports what ingest uses
+        tracemalloc.start()
+        try:
+            run_ingest(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestIngestRoundTrip:

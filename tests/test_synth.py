@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import runpy
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import culturestream
 from culturestream.binning import WindowSpec, bin_transactions
 from culturestream.corpus import load_corpus, load_roster, write_transactions_jsonl
 from culturestream.network import TOTAL, build_graph, group_stats
@@ -192,6 +198,23 @@ class TestMechanisms:
         assert per_window[2][0] > per_window[1][0]
         assert per_window[2][0] > per_window[3][0]
 
+    def test_two_injections_in_one_window_are_both_drawn(self):
+        config = _config(
+            practices=("tagging",),
+            rate=20.0,
+            alpha=0.02,
+            windows=3,
+            warmup_facts=5,
+            warmup_tokens=10,
+            burst_injections=[BurstInjection("storm", 2, 2, 1000.0),
+                              BurstInjection("squall", 2, 2, 1000.0)],
+        )
+        txs, roster = generate(config)
+        spec = WindowSpec(epoch=0.0, count=3)
+        drawn = {t.facts[0] for t in txs if spec.index_of(t.timestamp) == 2}
+        assert {"storm", "squall"} <= drawn
+        assert generate(config) == (txs, roster)
+
     def test_practice_restriction(self):
         txs, _ = generate(_config(practices=("mentioning",)))
         assert {t.practice for t in txs} == {"mentioning"}
@@ -252,6 +275,38 @@ class TestTargets:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+class TestDemoFixtureFollowEdges:
+    """``scripts/make_demo_fixture.py`` draws follow targets as the stream does."""
+
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_demo_fixture.py"
+
+    def test_a_lone_member_follows_only_the_other_group(self):
+        make_follow_edges = runpy.run_path(str(self.SCRIPT))["make_follow_edges"]
+        roster = {"a000": "A", **{f"b{i:03d}": "B" for i in range(7)}}
+        edges = make_follow_edges(roster)
+        assert len(edges) == len(set(edges)) == 8 * 6
+        assert all(source != target and target in roster for source, target in edges)
+
+    def test_a_small_roster_follows_every_other_member(self):
+        # Six targets cannot be found among two others: a subprocess, so that
+        # a loop that never ends fails the test instead of hanging the suite.
+        src = str(Path(culturestream.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = (
+            "import runpy, sys\n"
+            "edges = runpy.run_path(sys.argv[1])['make_follow_edges']("
+            "{'a000': 'A', 'a001': 'A', 'b000': 'B'}, per_member=6)\n"
+            "print(edges)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(self.SCRIPT)], timeout=30,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert result.returncode == 0, result.stderr
+        members = ("a000", "a001", "b000")
+        assert result.stdout.strip() == repr([(s, t) for s in members for t in members if s != t])
 
 
 class TestStreamContract:
